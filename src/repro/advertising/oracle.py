@@ -93,8 +93,8 @@ class MonteCarloOracle(RevenueOracle):
         "fast" runs slower.
     runtime:
         :class:`repro.runtime.Runtime` whose persistent worker pool sharded
-        queries run on (falls back to the ambient runtime, then to per-call
-        pools).
+        queries run on (falls back to the ambient runtime, then to a pool
+        of the query's own).
     """
 
     #: Minimum per-query simulation count before ``n_jobs`` engages (below
@@ -143,9 +143,9 @@ class MonteCarloOracle(RevenueOracle):
                 seed_set,
                 num_simulations=self._num_simulations,
                 rng=self._rng,
-                use_batched=self._policy.mc_engine == "batched",
-                batch_size=self._policy.mc_batch_size,
-                n_jobs=self._policy.n_jobs if sharded else None,
+                # 1, not None: None would defer to policy.n_jobs.
+                n_jobs=self._policy.n_jobs if sharded else 1,
+                policy=self._policy,
                 runtime=self._runtime,
             )
             cached = self._instance.cpe(advertiser) * spread

@@ -4,8 +4,8 @@
 revenue oracle and by tests that validate the RR-set estimators.  Its default
 path draws randomness in exactly the same order as the seed implementation
 (preserved verbatim in :mod:`repro.diffusion.legacy`), so fixed-seed results
-are reproducible across releases; passing ``use_batched=True`` routes the
-estimate through the level-synchronous batched engine in
+are reproducible across releases; a policy with ``mc_engine="batched"``
+routes the estimate through the level-synchronous batched engine in
 :mod:`repro.diffusion.engine`, which is ~an order of magnitude faster and
 statistically equivalent (``tests/test_mc_engine_equivalence.py`` pins both
 claims).
@@ -85,7 +85,6 @@ def monte_carlo_spread(
     seeds: Iterable[int],
     num_simulations: int = 1000,
     rng: RandomSource = None,
-    use_batched: Optional[bool] = None,
     batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     policy: Optional["ExecutionPolicy"] = None,
@@ -95,11 +94,6 @@ def monte_carlo_spread(
 
     Parameters
     ----------
-    use_batched:
-        Route the estimate through the batched level-synchronous engine
-        (:mod:`repro.diffusion.engine`).  Off by default: the sequential path
-        reproduces the seed tree's RNG stream exactly, the batched path is
-        statistically equivalent but draws in a different order.
     batch_size:
         Cascades per batch for the batched path (ignored otherwise);
         ``None`` picks a size that keeps the activation bitmap small.
@@ -108,23 +102,25 @@ def monte_carlo_spread(
         implies the batched engine (the sharded path is built on it);
         ``None``/1 leaves the selected path untouched.
     policy:
-        :class:`repro.runtime.ExecutionPolicy` supplying defaults for
-        ``use_batched`` / ``batch_size`` / ``n_jobs``.  Explicit arguments
-        win — including an explicit ``use_batched=False``, which pins the
-        sequential engine against a batched policy (``None`` means
-        "defer to the policy").
+        :class:`repro.runtime.ExecutionPolicy` selecting the engine
+        (``mc_engine="batched"`` routes the estimate through the batched
+        level-synchronous engine in :mod:`repro.diffusion.engine`) and
+        supplying defaults for ``batch_size`` / ``n_jobs``; explicit
+        arguments win.  ``None`` keeps the sequential path, which reproduces
+        the seed tree's RNG stream exactly; the batched path is
+        statistically equivalent but draws in a different order.
     runtime:
         :class:`repro.runtime.Runtime` whose persistent pool the sharded
         path runs on.
     """
     from repro.parallel import resolve_n_jobs
 
+    batched = False
     if policy is not None:
-        if use_batched is None:
-            use_batched = policy.mc_engine == "batched"
+        batched = policy.mc_engine == "batched"
         batch_size = batch_size if batch_size is not None else policy.mc_batch_size
         n_jobs = n_jobs if n_jobs is not None else policy.n_jobs
-    if use_batched or resolve_n_jobs(n_jobs) > 1:
+    if batched or resolve_n_jobs(n_jobs) > 1:
         from repro.diffusion import engine
 
         return engine.monte_carlo_spread(
@@ -239,7 +235,6 @@ def singleton_spreads_monte_carlo(
     num_simulations: int = 200,
     rng: RandomSource = None,
     nodes: Optional[Sequence[int]] = None,
-    use_batched: Optional[bool] = None,
     batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     policy: Optional["ExecutionPolicy"] = None,
@@ -248,22 +243,22 @@ def singleton_spreads_monte_carlo(
     """Monte-Carlo estimates of ``σ({v})`` for every node ``v``.
 
     Used by the seed-incentive cost models, which price a node by its
-    singleton influence spread (Section 5.1).  ``use_batched`` routes all
-    (node, simulation) cascades through the batched engine in one stream;
-    ``n_jobs>1`` additionally shards the node list across worker processes
-    (and implies the batched engine).  ``policy`` supplies defaults for the
-    three knobs; explicit arguments win, including an explicit
-    ``use_batched=False`` (``None`` defers to the policy).  ``runtime``
+    singleton influence spread (Section 5.1).  A ``policy`` with
+    ``mc_engine="batched"`` routes all (node, simulation) cascades through
+    the batched engine in one stream and supplies defaults for
+    ``batch_size`` / ``n_jobs`` (explicit arguments win); ``None`` keeps the
+    sequential path.  ``n_jobs>1`` additionally shards the node list across
+    worker processes (and implies the batched engine).  ``runtime``
     supplies a persistent worker pool for the sharded path.
     """
     from repro.parallel import resolve_n_jobs
 
+    batched = False
     if policy is not None:
-        if use_batched is None:
-            use_batched = policy.mc_engine == "batched"
+        batched = policy.mc_engine == "batched"
         batch_size = batch_size if batch_size is not None else policy.mc_batch_size
         n_jobs = n_jobs if n_jobs is not None else policy.n_jobs
-    if use_batched or resolve_n_jobs(n_jobs) > 1:
+    if batched or resolve_n_jobs(n_jobs) > 1:
         from repro.diffusion import engine
 
         return engine.singleton_spreads_monte_carlo(

@@ -64,8 +64,8 @@ def independent_evaluator(
     ``policy`` selects the sampler's RR engine and sharding (``None``
     resolves to :meth:`repro.runtime.ExecutionPolicy.fast`); ``runtime``
     supplies the persistent worker pool for the sharded path (falling back
-    to the ambient :func:`repro.runtime.current_runtime`, then to a
-    per-call pool).
+    to the ambient :func:`repro.runtime.current_runtime`, then to a pool of
+    the call's own).
     """
     if num_rr_sets <= 0:
         raise ExperimentError("num_rr_sets must be positive")

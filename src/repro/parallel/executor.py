@@ -3,17 +3,15 @@
 :class:`ShardedExecutor` is the one place the library touches
 :mod:`multiprocessing`.  It runs a picklable task function over a list of
 *shards* — small per-worker argument tuples, typically ``(count, rng)`` —
-against a *payload* shipped to every worker exactly once (the CSR graph and
-edge probabilities).  On platforms with ``fork`` the payload is inherited
-through the fork at no pickling cost; under ``spawn`` it is pickled once per
-worker via the pool initializer.
+against a *payload* (the CSR graph and edge probabilities) that every worker
+receives once through a barrier-synchronised broadcast.
 
-Two pool lifetimes are supported.  The default is **ephemeral**: every
-:meth:`ShardedExecutor.run` call spawns a pool and tears it down.  Passing a
-:class:`PersistentPool` makes the workers **persistent** across calls —
-payloads are broadcast once per distinct payload and addressed by token
-afterwards — which is what :class:`repro.runtime.Runtime` uses to amortise
-pool spawn (~30–60 ms/call) across RMA's doubling rounds.
+There is one pool flavour, :class:`PersistentPool`: its workers outlive
+individual calls, payloads are broadcast once per distinct payload and
+addressed by token afterwards, and :class:`repro.runtime.Runtime` owns one so
+RMA's doubling rounds pay the pool spawn (~30–60 ms) once.  A
+:class:`ShardedExecutor` built without a pool runs each call on a pool of its
+own and shuts that pool's workers down when the call returns.
 
 Fault tolerance
 ---------------
@@ -36,10 +34,10 @@ timeouts; what happens next is governed by the
   :class:`~repro.exceptions.WorkerCrashError` /
   :class:`~repro.exceptions.ShardTimeoutError`.
 
-Every recovery emits a :class:`RuntimeWarning` and increments the owning
-pool/executor's :class:`~repro.parallel.failure.RecoveryStats`.  The
-fault-injection hooks consulted by the worker-side wrappers live in
-:mod:`repro.parallel.faults` and are armed only by tests.
+Every recovery emits a :class:`RuntimeWarning` and increments the pool's
+:class:`~repro.parallel.failure.RecoveryStats`.  The fault-injection hooks
+consulted by the worker-side wrappers live in :mod:`repro.parallel.faults`
+and are armed only by tests.
 
 Determinism contract
 --------------------
@@ -193,7 +191,6 @@ def _default_start_method() -> str:
     return multiprocessing.get_start_method(allow_none=False)
 
 
-_WORKER_PAYLOAD: Any = None
 _WORKER_PAYLOADS: dict = {}
 #: Worker-side ``SharedMemory`` objects attached for decoded shm payloads,
 #: keyed by segment name.  The attachment must stay referenced for as long
@@ -218,10 +215,6 @@ _BROADCAST_TIMEOUT_S = 600.0
 #: Supervision-loop poll granularity: the latency bound on detecting a dead
 #: worker, and the upper bound on per-call overhead of a failure-free run.
 _POLL_INTERVAL_S = 0.05
-
-#: Grace period for end-of-call shutdown of an ephemeral pool before falling
-#: back to ``terminate()`` (lets worker-side atexit/coverage hooks run).
-_EPHEMERAL_CLOSE_GRACE_S = 1.0
 
 
 class _StalePayloadError(RuntimeError):
@@ -471,29 +464,9 @@ def _release_worker_state() -> None:  # pragma: no cover - runs at worker exit
     in ``_WORKER_PAYLOADS`` still export the buffer, raising ignored
     ``BufferError`` tracebacks on the worker's stderr.
     """
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = None
     _WORKER_PAYLOADS.clear()
     _WORKER_CACHES.clear()
     _close_attached_segments()
-
-
-def _init_worker(payload: Any, fault_specs: Any = None) -> None:
-    global _WORKER_PAYLOAD
-    atexit.register(_release_worker_state)
-    if isinstance(payload, _ShmPayload):
-        payload = _decode_shm_payload(payload)
-    _WORKER_PAYLOAD = payload
-    faults.arm(fault_specs)
-    _freeze_inherited_heap()
-
-
-def _call_task(task_shard_index) -> Any:
-    task, shard, index = task_shard_index
-    faults.on_shard_start(index)
-    result = task(_WORKER_PAYLOAD, shard)
-    faults.on_shard_end(index)
-    return result
 
 
 def _init_persistent_worker(barrier: Any, fault_specs: Any = None) -> None:
@@ -543,13 +516,12 @@ _MISSING = object()
 def current_worker_cache() -> Optional[dict]:
     """The scratch cache for the payload of the task currently executing.
 
-    Inside a persistent-pool task this returns a per-``(worker, payload)``
-    dict that survives across calls until the payload is evicted — task
-    functions use it to memoise state that is expensive to rebuild from the
-    payload every call (RR generators, scratch buffers).  Outside a pool
-    task — the serial/inline path, or the ephemeral one-shot pool — it
-    returns ``None`` and callers must rebuild, which keeps the serial path's
-    behaviour (and memory profile) unchanged.
+    Inside a pool task this returns a per-``(worker, payload)`` dict that
+    survives across calls until the payload is evicted — task functions use
+    it to memoise state that is expensive to rebuild from the payload every
+    call (RR generators, scratch buffers).  Outside a pool task — the
+    serial/inline path — it returns ``None`` and callers must rebuild, which
+    keeps the serial path's behaviour (and memory profile) unchanged.
 
     Determinism contract: anything cached here must be a pure function of
     the payload, so a cache hit can never change what a shard computes.
@@ -578,295 +550,12 @@ def _call_task_by_token(task_token_shard_index) -> Any:
     return result
 
 
-def _shutdown_pool(pool, procs: Sequence[Any], grace_s: float) -> None:
-    """Close a pool, preferring graceful worker exit within ``grace_s``.
-
-    ``grace_s > 0`` sends the close sentinel and waits for every worker in
-    the spawn-time snapshot to exit on its own (running worker-side
-    ``atexit``/coverage hooks); stragglers — and the ``grace_s <= 0`` fast
-    path used for recovery respawns — are terminated.
-    """
-    if grace_s > 0:
-        pool.close()
-        deadline = time.monotonic() + grace_s
-        while time.monotonic() < deadline:
-            if all(proc.exitcode is not None for proc in procs):
-                break
-            time.sleep(0.005)
-        if not all(proc.exitcode is not None for proc in procs):
-            pool.terminate()
-    else:
-        pool.terminate()
-    pool.join()
-
-
-def _supervise(
-    adapter,
-    shards: List[Any],
-    failure: FailurePolicy,
-    stats: RecoveryStats,
-    label: str,
-) -> List[Any]:
-    """Watch submitted shards to completion, recovering per ``failure``.
-
-    ``adapter`` abstracts the pool flavour (ephemeral vs persistent) behind
-    five methods: ``submit(index, shard, wakeup)`` → ``AsyncResult``,
-    ``dead_workers()``, ``respawn()``, ``discard()`` and ``serial(shard)``.
-    Results land in a list indexed by shard position, so the merge order —
-    and therefore every downstream result — is independent of completion
-    order, retries and degradation.
-    """
-    results: List[Any] = [None] * len(shards)
-    attempts = [0] * len(shards)
-    pending: Dict[int, Any] = {}
-    deadlines: Dict[int, float] = {}
-    # Completion callbacks set this so the loop wakes the moment any shard
-    # finishes instead of at the next poll tick; dead workers produce no
-    # callback, so the poll interval stays the detection latency for those.
-    wakeup = Event()
-
-    def submit(indices) -> None:
-        now = time.monotonic()
-        for index in indices:
-            pending[index] = adapter.submit(index, shards[index], wakeup)
-            if failure.shard_timeout_s is not None:
-                deadlines[index] = now + failure.shard_timeout_s
-
-    def run_serial(indices, reason: str) -> None:
-        stats.serial_fallbacks += len(indices)
-        warnings.warn(
-            f"{label}: degrading shard(s) {list(indices)} to in-process serial "
-            f"execution after {reason}; results stay bit-identical",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        for index in indices:
-            results[index] = adapter.serial(shards[index])
-
-    def recover(reason: str) -> None:
-        # Pool state is suspect: every outstanding shard is treated as lost,
-        # the pool is torn down, and the lost shards are re-executed — on a
-        # fresh pool while they have retry budget, in-process serially after.
-        lost = sorted(pending)
-        pending.clear()
-        deadlines.clear()
-        retry: List[int] = []
-        fallback: List[int] = []
-        for index in lost:
-            attempts[index] += 1
-            (fallback if attempts[index] > failure.max_retries else retry).append(index)
-        if fallback or not retry:
-            adapter.discard()
-        if fallback:
-            run_serial(fallback, f"{reason} (retry budget exhausted)")
-        if not retry:
-            return
-        stats.shards_rerun += len(retry)
-        round_attempt = max(attempts[index] for index in retry)
-        warnings.warn(
-            f"{label}: {reason}; respawning workers and re-executing shard(s) "
-            f"{retry} (attempt {round_attempt}/{failure.max_retries})",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        if failure.retry_backoff_s > 0:
-            time.sleep(failure.retry_backoff_s * round_attempt)
-        try:
-            stats.pool_respawns += 1
-            adapter.respawn()
-            submit(retry)
-        except Exception:
-            # The pool cannot be rebuilt (respawn or re-broadcast keeps
-            # failing) — last rung of the degradation ladder.
-            run_serial(retry, "the worker pool could not be respawned")
-
-    submit(range(len(shards)))
-    while pending:
-        wakeup.clear()
-        broken_reason: Optional[str] = None
-        for index in sorted(pending):
-            result = pending[index]
-            if not result.ready():
-                continue
-            try:
-                value = result.get()
-            except _StalePayloadError:
-                broken_reason = "a respawned worker lost its payload cache"
-                break
-            # Any other exception is a genuine task error: deterministic,
-            # so retrying cannot help — propagate to the caller.
-            results[index] = value
-            del pending[index]
-            deadlines.pop(index, None)
-        if not pending:
-            break
-        if broken_reason is None:
-            dead = adapter.dead_workers()
-            if dead:
-                codes = sorted({proc.exitcode for proc in dead})
-                broken_reason = (
-                    f"{len(dead)} worker process(es) died (exit codes {codes})"
-                )
-        if broken_reason is not None:
-            stats.worker_crashes += 1
-            if failure.on_pool_failure == "raise":
-                adapter.discard()
-                raise WorkerCrashError(
-                    f"{label}: {broken_reason} with shard(s) {sorted(pending)} "
-                    f"outstanding [recovery: {stats.describe()}]"
-                )
-            recover(broken_reason)
-            continue
-        now = time.monotonic()
-        expired = sorted(
-            index for index, deadline in deadlines.items() if now > deadline
-        )
-        if expired:
-            stats.shard_timeouts += len(expired)
-            timeout_reason = (
-                f"shard(s) {expired} exceeded "
-                f"shard_timeout_s={failure.shard_timeout_s:g}"
-            )
-            if failure.on_pool_failure == "raise":
-                adapter.discard()
-                raise ShardTimeoutError(
-                    f"{label}: {timeout_reason} [recovery: {stats.describe()}]"
-                )
-            recover(timeout_reason)
-            continue
-        wakeup.wait(_POLL_INTERVAL_S)
-    return results
-
-
-class _EphemeralAdapter:
-    """Pool mechanics of one supervised ephemeral :meth:`ShardedExecutor.run`."""
-
-    def __init__(
-        self,
-        start_method: Optional[str],
-        task,
-        payload,
-        processes: int,
-        payload_mode: str = "pickle",
-    ):
-        self._context = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
-        self._task = task
-        self._payload = payload
-        self._processes = processes
-        self._segment = None
-        self._wire = payload
-        if _resolve_payload_transport(payload_mode, payload) == "shm":
-            encoded = _encode_shm_payload(payload)
-            if encoded is not None:
-                self._segment, self._wire = encoded
-        self._pool = None
-        self._procs: List[Any] = []
-        self._spawn()
-
-    def _spawn(self) -> None:
-        _ensure_resource_tracker()
-        self._pool = self._context.Pool(
-            self._processes,
-            initializer=_init_worker,
-            initargs=(self._wire, faults.active_faults()),
-        )
-        self._procs = list(self._pool._pool)
-
-    def submit(self, index: int, shard: Any, wakeup: Event):
-        notify = lambda _result: wakeup.set()  # noqa: E731
-        return self._pool.apply_async(
-            _call_task,
-            ((self._task, shard, index),),
-            callback=notify,
-            error_callback=notify,
-        )
-
-    def dead_workers(self) -> List[Any]:
-        return [proc for proc in self._procs if proc.exitcode is not None]
-
-    def respawn(self) -> None:
-        self.discard()
-        self._spawn()
-
-    def discard(self) -> None:
-        pool, self._pool = self._pool, None
-        self._procs = []
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-
-    def serial(self, shard: Any) -> Any:
-        return self._task(self._payload, shard)
-
-    def finish(self) -> None:
-        """End-of-call shutdown: graceful close, bounded, then terminate.
-
-        Also the single unlink site for the call's shared segment — respawns
-        during recovery reuse the live segment, so only end-of-call releases
-        it.
-        """
-        pool, self._pool = self._pool, None
-        procs, self._procs = self._procs, []
-        if pool is not None:
-            _shutdown_pool(pool, procs, _EPHEMERAL_CLOSE_GRACE_S)
-        segment, self._segment = self._segment, None
-        if segment is not None:
-            segment.unlink()
-
-
-class _PersistentAdapter:
-    """Pool mechanics of one supervised :meth:`PersistentPool.run` call."""
-
-    def __init__(self, owner: "PersistentPool", task, payload, processes: int,
-                 failure: FailurePolicy):
-        self._owner = owner
-        self._task = task
-        self._payload = payload
-        self._processes = processes
-        self._failure = failure
-        self._token: Optional[int] = None
-
-    def attach(self) -> None:
-        """Bind the payload token, broadcasting to the live pool as needed."""
-        self._token = self._owner._attach_payload(
-            self._payload, self._processes, self._failure
-        )
-
-    def submit(self, index: int, shard: Any, wakeup: Event):
-        notify = lambda _result: wakeup.set()  # noqa: E731
-        return self._owner._pool.apply_async(
-            _call_task_by_token,
-            ((self._task, self._token, shard, index),),
-            callback=notify,
-            error_callback=notify,
-        )
-
-    def dead_workers(self) -> List[Any]:
-        return self._owner._dead_workers()
-
-    def respawn(self) -> None:
-        # Keep the parent-side packed segments: the re-broadcast right after
-        # the respawn reuses the live segment instead of re-packing.
-        self._owner.close(timeout_s=0, release_payloads=False)
-        self.attach()
-
-    def discard(self) -> None:
-        self._owner.close(timeout_s=0, release_payloads=False)
-
-    def serial(self, shard: Any) -> Any:
-        return self._task(self._payload, shard)
-
-
 class PersistentPool:
-    """A worker pool that outlives individual sharded calls.
+    """A supervised worker pool that outlives individual sharded calls.
 
-    Ephemeral execution (:meth:`ShardedExecutor.run` without a pool) spawns
-    a fresh ``multiprocessing.Pool`` per call — ~30–60 ms each, which RMA's
-    doubling rounds pay over and over.  A ``PersistentPool`` spawns its
-    workers once (lazily, on the first call that actually shards) and reuses
-    them; :class:`repro.runtime.Runtime` owns one per context.
+    Workers are spawned lazily, on the first call that actually shards, and
+    reused until :meth:`close`; :class:`repro.runtime.Runtime` owns one per
+    context so RMA's doubling rounds pay the spawn (~30–60 ms) once.
 
     Payloads are shipped to every worker **once per distinct payload** via a
     barrier-synchronised broadcast and addressed by token afterwards, so
@@ -876,13 +565,12 @@ class PersistentPool:
     elements — the pool keeps a strong reference, so ``id`` reuse cannot
     alias two different payloads.
 
-    Worker loss is survivable: calls run under the supervision loop
-    (:func:`_supervise`), broadcasts are watched for dead workers and broken
-    barriers, and recovery — respawn, re-broadcast of the payloads the
-    pending call needs, deterministic re-execution of exactly the unfinished
-    shards — is governed by the call's
-    :class:`~repro.parallel.failure.FailurePolicy`.  :attr:`recovery_stats`
-    counts those events, mirroring :attr:`spawn_count`.
+    Worker loss is survivable: calls run under a supervision loop, broadcasts
+    are watched for dead workers and broken barriers, and recovery —
+    respawn, re-broadcast of the payloads the pending call needs,
+    deterministic re-execution of exactly the unfinished shards — is
+    governed by the call's :class:`~repro.parallel.failure.FailurePolicy`.
+    :attr:`recovery_stats` counts those events, mirroring :attr:`spawn_count`.
 
     The pool never influences results: shard layout and RNG substreams are
     fixed by the caller, results merge by shard position, and pool size
@@ -1100,16 +788,15 @@ class PersistentPool:
         ``processes`` is the concurrency the caller wants (already capped by
         ``REPRO_MAX_JOBS``); ``failure`` governs recovery (defaults to
         :data:`~repro.parallel.failure.DEFAULT_FAILURE_POLICY`).  Results are
-        bit-identical to the ephemeral path — same tasks, same shard args,
-        same merge order — whether or not recovery was needed.
+        bit-identical to the serial path — same tasks, same shard args, same
+        merge order — whether or not recovery was needed.
         """
         failure = failure if failure is not None else DEFAULT_FAILURE_POLICY
         shards = list(shards)
         if self._ensure(processes) is None:
             return [task(payload, shard) for shard in shards]
-        adapter = _PersistentAdapter(self, task, payload, processes, failure)
         try:
-            adapter.attach()
+            token = self._attach_payload(payload, processes, failure)
         except _PoolBrokenError as exc:
             if failure.on_pool_failure == "raise":
                 raise WorkerCrashError(
@@ -1125,7 +812,159 @@ class PersistentPool:
                 stacklevel=3,
             )
             return [task(payload, shard) for shard in shards]
-        return _supervise(adapter, shards, failure, self._recovery, "persistent pool")
+        return self._supervise(task, payload, token, shards, processes, failure)
+
+    def _supervise(
+        self,
+        task: Callable[[Any, Any], Any],
+        payload: Any,
+        token: int,
+        shards: List[Any],
+        processes: int,
+        failure: FailurePolicy,
+    ) -> List[Any]:
+        """Watch submitted shards to completion, recovering per ``failure``.
+
+        Results land in a list indexed by shard position, so the merge order
+        — and therefore every downstream result — is independent of
+        completion order, retries and degradation.
+        """
+        stats = self._recovery
+        label = "persistent pool"
+        results: List[Any] = [None] * len(shards)
+        attempts = [0] * len(shards)
+        pending: Dict[int, Any] = {}
+        deadlines: Dict[int, float] = {}
+        # Completion callbacks set this so the loop wakes the moment any shard
+        # finishes instead of at the next poll tick; dead workers produce no
+        # callback, so the poll interval stays the detection latency for those.
+        wakeup = Event()
+        notify = lambda _result: wakeup.set()  # noqa: E731
+
+        def submit(indices) -> None:
+            now = time.monotonic()
+            for index in indices:
+                pending[index] = self._pool.apply_async(
+                    _call_task_by_token,
+                    ((task, token, shards[index], index),),
+                    callback=notify,
+                    error_callback=notify,
+                )
+                if failure.shard_timeout_s is not None:
+                    deadlines[index] = now + failure.shard_timeout_s
+
+        def discard() -> None:
+            # Keep the parent-side packed segments: a re-broadcast after a
+            # respawn reuses the live segment instead of re-packing.
+            self.close(timeout_s=0, release_payloads=False)
+
+        def run_serial(indices, reason: str) -> None:
+            stats.serial_fallbacks += len(indices)
+            warnings.warn(
+                f"{label}: degrading shard(s) {list(indices)} to in-process serial "
+                f"execution after {reason}; results stay bit-identical",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+            for index in indices:
+                results[index] = task(payload, shards[index])
+
+        def recover(reason: str) -> None:
+            # Pool state is suspect: every outstanding shard is treated as lost,
+            # the pool is torn down, and the lost shards are re-executed — on a
+            # fresh pool while they have retry budget, in-process serially after.
+            nonlocal token
+            lost = sorted(pending)
+            pending.clear()
+            deadlines.clear()
+            retry: List[int] = []
+            fallback: List[int] = []
+            for index in lost:
+                attempts[index] += 1
+                exhausted = attempts[index] > failure.max_retries
+                (fallback if exhausted else retry).append(index)
+            if fallback or not retry:
+                discard()
+            if fallback:
+                run_serial(fallback, f"{reason} (retry budget exhausted)")
+            if not retry:
+                return
+            stats.shards_rerun += len(retry)
+            round_attempt = max(attempts[index] for index in retry)
+            warnings.warn(
+                f"{label}: {reason}; respawning workers and re-executing shard(s) "
+                f"{retry} (attempt {round_attempt}/{failure.max_retries})",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+            if failure.retry_backoff_s > 0:
+                time.sleep(failure.retry_backoff_s * round_attempt)
+            try:
+                stats.pool_respawns += 1
+                discard()
+                token = self._attach_payload(payload, processes, failure)
+                submit(retry)
+            except Exception:
+                # The pool cannot be rebuilt (respawn or re-broadcast keeps
+                # failing) — last rung of the degradation ladder.
+                run_serial(retry, "the worker pool could not be respawned")
+
+        submit(range(len(shards)))
+        while pending:
+            wakeup.clear()
+            broken_reason: Optional[str] = None
+            for index in sorted(pending):
+                result = pending[index]
+                if not result.ready():
+                    continue
+                try:
+                    value = result.get()
+                except _StalePayloadError:
+                    broken_reason = "a respawned worker lost its payload cache"
+                    break
+                # Any other exception is a genuine task error: deterministic,
+                # so retrying cannot help — propagate to the caller.
+                results[index] = value
+                del pending[index]
+                deadlines.pop(index, None)
+            if not pending:
+                break
+            if broken_reason is None:
+                dead = self._dead_workers()
+                if dead:
+                    codes = sorted({proc.exitcode for proc in dead})
+                    broken_reason = (
+                        f"{len(dead)} worker process(es) died (exit codes {codes})"
+                    )
+            if broken_reason is not None:
+                stats.worker_crashes += 1
+                if failure.on_pool_failure == "raise":
+                    discard()
+                    raise WorkerCrashError(
+                        f"{label}: {broken_reason} with shard(s) {sorted(pending)} "
+                        f"outstanding [recovery: {stats.describe()}]"
+                    )
+                recover(broken_reason)
+                continue
+            now = time.monotonic()
+            expired = sorted(
+                index for index, deadline in deadlines.items() if now > deadline
+            )
+            if expired:
+                stats.shard_timeouts += len(expired)
+                timeout_reason = (
+                    f"shard(s) {expired} exceeded "
+                    f"shard_timeout_s={failure.shard_timeout_s:g}"
+                )
+                if failure.on_pool_failure == "raise":
+                    discard()
+                    raise ShardTimeoutError(
+                        f"{label}: {timeout_reason} [recovery: {stats.describe()}]"
+                    )
+                recover(timeout_reason)
+                continue
+            wakeup.wait(_POLL_INTERVAL_S)
+        return results
 
     def broadcast(self, payload: Any, processes: int) -> bool:
         """Ship ``payload`` to ``processes`` workers now, under a fresh token.
@@ -1193,7 +1032,16 @@ class PersistentPool:
         self._barrier = None
         if pool is not None:
             grace = self.CLOSE_GRACE_S if timeout_s is None else timeout_s
-            _shutdown_pool(pool, procs, grace)
+            if grace > 0:
+                pool.close()
+                deadline = time.monotonic() + grace
+                while time.monotonic() < deadline:
+                    if all(proc.exitcode is not None for proc in procs):
+                        break
+                    time.sleep(0.005)
+            if grace <= 0 or not all(proc.exitcode is not None for proc in procs):
+                pool.terminate()
+            pool.join()
         self._processes = 0
         self._tokens.clear()
         if release_payloads:
@@ -1207,46 +1055,34 @@ class PersistentPool:
 
 
 class ShardedExecutor:
-    """Run a task over shards on a multiprocessing pool (or inline).
+    """Run a task over shards on a supervised worker pool (or inline).
 
     Parameters
     ----------
     n_jobs:
         Target shard/worker count (``None`` → 1, ``-1`` → all cores).
-    start_method:
-        Multiprocessing start method; defaults to ``fork`` on Linux,
-        overridable via ``REPRO_MP_START_METHOD``.
     pool:
-        Optional :class:`PersistentPool` to run on.  Without one (the
-        default) every :meth:`run` call spawns and tears down its own
-        ``multiprocessing.Pool``; with one, workers are reused across calls
-        — :class:`repro.runtime.Runtime` hands these out.  Results are
-        bit-identical either way.
+        Optional :class:`PersistentPool` to run on; workers are then reused
+        across calls — :class:`repro.runtime.Runtime` hands these out.
+        Without one the executor owns a pool whose workers live for a single
+        :meth:`run` call and are shut down when it returns, success or
+        failure.  Results are bit-identical either way.
     failure:
         The :class:`~repro.parallel.failure.FailurePolicy` governing worker
         loss and shard timeouts (default: degrade-and-recover).  Never
         influences results, only whether/where lost shards are re-executed.
-    payload_mode:
-        Payload transport for the *ephemeral* path (one of
-        :data:`PAYLOAD_MODES`; default ``"pickle"``).  A bound ``pool``
-        broadcasts with its own mode instead.  Transport never influences
-        results.
     """
 
     def __init__(
         self,
         n_jobs: Optional[int] = None,
-        start_method: Optional[str] = None,
         pool: Optional[PersistentPool] = None,
         failure: Optional[FailurePolicy] = None,
-        payload_mode: str = "pickle",
     ):
         self._n_jobs = resolve_n_jobs(n_jobs)
-        self._start_method = start_method
-        self._pool = pool
+        self._owns_pool = pool is None
+        self._pool = PersistentPool() if pool is None else pool
         self._failure = failure if failure is not None else DEFAULT_FAILURE_POLICY
-        self._payload_mode = validate_payload_mode(payload_mode)
-        self._recovery = RecoveryStats()
 
     @property
     def n_jobs(self) -> int:
@@ -1260,8 +1096,8 @@ class ShardedExecutor:
 
     @property
     def recovery_stats(self) -> RecoveryStats:
-        """Recovery counters: the bound pool's, or this executor's own."""
-        return self._pool.recovery_stats if self._pool is not None else self._recovery
+        """Recovery counters of the pool this executor runs on."""
+        return self._pool.recovery_stats
 
     def run(
         self,
@@ -1284,16 +1120,10 @@ class ShardedExecutor:
             processes = min(processes, cap)
         if processes <= 1:
             return [task(payload, shard) for shard in shards]
-        if self._pool is not None:
+        try:
             return self._pool.run(
                 task, payload, shards, processes, failure=self._failure
             )
-        adapter = _EphemeralAdapter(
-            self._start_method, task, payload, processes, self._payload_mode
-        )
-        try:
-            return _supervise(
-                adapter, shards, self._failure, self._recovery, "ephemeral pool"
-            )
         finally:
-            adapter.finish()
+            if self._owns_pool:
+                self._pool.close()

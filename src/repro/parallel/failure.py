@@ -114,9 +114,10 @@ class RecoveryStats:
     """Mutable recovery counters, mirroring ``PersistentPool.spawn_count``.
 
     One instance lives on each :class:`~repro.parallel.executor.PersistentPool`
-    (accumulated across every call that runs on it) and on each ephemeral
-    :class:`~repro.parallel.executor.ShardedExecutor`.  A clean run leaves
-    every counter at zero — the equivalence suites assert exactly that.
+    (accumulated across every call that runs on it); a
+    :class:`~repro.parallel.executor.ShardedExecutor` reports the one of the
+    pool it runs on.  A clean run leaves every counter at zero — the
+    equivalence suites assert exactly that.
     """
 
     worker_crashes: int = 0  #: dead-worker / broken-broadcast events detected

@@ -138,7 +138,8 @@ class RRStore:
     runtime:
         Optional :class:`~repro.runtime.Runtime` whose persistent pool the
         sharded generation/maintenance paths run on (falls back to the
-        ambient runtime, then per-call pools; results identical either way).
+        ambient runtime, then to a pool of each call's own; results identical
+        either way).
     """
 
     def __init__(

@@ -61,7 +61,7 @@ class UniformRRSampler:
     runtime:
         :class:`repro.runtime.Runtime` whose persistent worker pool the
         sharded path runs on (falls back to the ambient runtime, then to a
-        per-call pool; results are bit-identical either way).
+        pool of the call's own; results are bit-identical either way).
     """
 
     def __init__(

@@ -1,9 +1,10 @@
 """The :class:`Runtime` — a context that owns a persistent worker pool.
 
 Without a runtime every sharded call (``generate_collection``, sharded MC
-spread, TI pool fills) spawns its own ``multiprocessing`` pool — ~30–60 ms
-each, paid repeatedly across RMA's doubling rounds.  A ``Runtime`` owns one
-:class:`~repro.parallel.executor.PersistentPool` and hands out
+spread, TI pool fills) spawns and shuts down the workers of a pool of its
+own — ~30–60 ms each, paid repeatedly across RMA's doubling rounds.  A
+``Runtime`` owns one :class:`~repro.parallel.executor.PersistentPool` whose
+workers outlive those calls and hands out
 :class:`~repro.parallel.executor.ShardedExecutor` views bound to it, so the
 pool is spawned at most once per context no matter how many rounds run::
 
@@ -20,7 +21,7 @@ the pool through :func:`acquire_executor`.
 Determinism contract: a runtime never influences results.  Shard layout and
 RNG substreams are fixed by each call's ``n_jobs``; the pool only recycles
 OS processes, so a run inside a ``Runtime`` block is bit-identical to the
-same run with per-call pools.
+same run without one.
 """
 
 from __future__ import annotations
@@ -175,10 +176,11 @@ def acquire_executor(
     """Resolve the executor a sharded call should run on.
 
     Preference order: the explicitly passed ``runtime``, then the ambient
-    :func:`current_runtime`, then a fresh ephemeral
-    :class:`~repro.parallel.executor.ShardedExecutor`.  ``n_jobs`` always
-    comes from the caller — the runtime contributes only the pool, so
-    results do not depend on which branch was taken.
+    :func:`current_runtime`, then a fresh
+    :class:`~repro.parallel.executor.ShardedExecutor` whose workers live for
+    one call.  ``n_jobs`` always comes from the caller — the runtime
+    contributes only the pool, so results do not depend on which branch was
+    taken.
     """
     active = runtime if runtime is not None else current_runtime()
     if active is not None:

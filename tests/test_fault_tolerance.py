@@ -16,15 +16,19 @@ barrier — and asserts the recovery contract:
   ``PersistentPool.spawn_count``) counts what actually happened, and clean
   runs stay at zero.
 
-Both pool flavours are covered: ephemeral (per-call pool) and persistent
-(the :class:`~repro.runtime.Runtime` pool), over the real sharded stages —
-RR-set generation and Monte-Carlo spread estimation — plus a tiny echo task
-for the mechanics-only cases.  All faults fire on fixed shards with one-shot
-cross-process latches, so the suite is deterministic.
+Both pool lifetimes are covered: a ``ShardedExecutor`` without a pool,
+whose workers live for one ``run()`` call, and a long-lived
+:class:`~repro.parallel.PersistentPool` (the :class:`~repro.runtime.Runtime`
+pool).  They run the real sharded stages (RR-set generation and Monte-Carlo
+spread estimation) plus a tiny echo task for the mechanics-only cases.  All
+faults fire on fixed shards with one-shot cross-process latches, so the
+suite is deterministic.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 import warnings
 
@@ -148,9 +152,13 @@ class TestFailurePolicy:
 
 
 # --------------------------------------------------------------------------- #
-# Ephemeral pool: crash / timeout / degradation mechanics
+# Pool-less executor (workers live for one run() call): crash / timeout /
+# degradation mechanics
 # --------------------------------------------------------------------------- #
 class TestEphemeralRecovery:
+    """A ``ShardedExecutor`` built without ``pool=`` runs each call on a
+    pool of its own whose workers are shut down when the call returns."""
+
     def test_clean_run_zero_recovery(self):
         executor = ShardedExecutor(2, failure=DEGRADE)
         assert executor.run(_echo_task, 100, list(range(6))) == [
@@ -244,6 +252,47 @@ class TestEphemeralRecovery:
 
 def _divide_task(payload, shard):
     return payload / shard
+
+
+def _pid_task(payload, shard):
+    return os.getpid()
+
+
+def _live_children() -> set:
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+# --------------------------------------------------------------------------- #
+# Call-scoped pool teardown: no worker outlives run(), even when it raises
+# --------------------------------------------------------------------------- #
+class TestCallScopedPoolTeardown:
+    def test_no_worker_alive_after_run(self):
+        before = _live_children()
+        executor = ShardedExecutor(2)
+        pids = set(executor.run(_pid_task, None, list(range(4))))
+        assert os.getpid() not in pids  # the shards ran in worker processes
+        assert executor._pool.processes == 0
+        assert not pids & _live_children()
+        assert _live_children() <= before
+
+    def test_no_worker_alive_after_worker_crash_error(self):
+        before = _live_children()
+        executor = ShardedExecutor(2, failure=FailurePolicy.fail_fast())
+        injector = FaultInjector()
+        injector.kill_worker(shard=0, when="before")
+        with injector:
+            with pytest.raises(WorkerCrashError):
+                executor.run(_echo_task, 0, list(range(4)))
+        assert executor._pool.processes == 0
+        assert _live_children() <= before
+
+    def test_each_run_spawns_and_stops_its_own_workers(self):
+        executor = ShardedExecutor(2)
+        first = set(executor.run(_pid_task, None, list(range(4))))
+        second = set(executor.run(_pid_task, None, list(range(4))))
+        assert not first & second  # fresh workers per call
+        assert executor._pool.spawn_count == 2
+        assert executor.recovery_stats.events == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -361,7 +410,7 @@ class TestStageBitIdentity:
         return self._mc(micro_graph, wc_probabilities, ShardedExecutor(self.N_JOBS))
 
     @pytest.mark.parametrize("shard", [0, 1])
-    def test_rr_generation_survives_kill_ephemeral(
+    def test_rr_generation_survives_kill_call_scoped(
         self, micro_graph, wc_probabilities, rr_expected, shard
     ):
         executor = ShardedExecutor(self.N_JOBS, failure=DEGRADE)
@@ -389,7 +438,7 @@ class TestStageBitIdentity:
         finally:
             pool.close()
 
-    def test_mc_spread_survives_kill_ephemeral(
+    def test_mc_spread_survives_kill_call_scoped(
         self, micro_graph, wc_probabilities, mc_expected
     ):
         executor = ShardedExecutor(self.N_JOBS, failure=DEGRADE)

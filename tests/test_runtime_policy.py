@@ -11,7 +11,7 @@ flip to :meth:`ExecutionPolicy.fast`:
    explicit bit-reproducible escape hatch.
 3. **Pool reuse** — a :class:`~repro.runtime.Runtime` block spawns its
    worker pool at most once across all of RMA's doubling rounds, and the
-   persistent pool is bit-identical to per-call pools.
+   persistent pool is bit-identical to pools that live for one call.
 
 All seeds are fixed; the suite is deterministic.
 """
@@ -336,8 +336,8 @@ class TestRuntime:
         rt.close()
 
     def test_acquire_executor_prefers_explicit_then_ambient(self):
-        ephemeral = acquire_executor(2)
-        assert ephemeral.n_jobs == 2
+        scoped = acquire_executor(2)
+        assert scoped.n_jobs == 2
         with Runtime() as ambient:
             bound = acquire_executor(2)
             assert bound._pool is ambient.pool
@@ -368,12 +368,12 @@ class TestRuntime:
             # the same payload was broadcast exactly once
             assert len(rt.pool._tokens) == 1
 
-        ephemeral_sampler = build()
-        ephemeral = ephemeral_sampler.generate_collection(200)
+        scoped_sampler = build()
+        scoped = scoped_sampler.generate_collection(200)
         for _ in range(3):
-            ephemeral_sampler.generate_collection(len(ephemeral), into=ephemeral)
-        assert np.array_equal(persistent.member_array, ephemeral.member_array)
-        assert np.array_equal(persistent.tag_array, ephemeral.tag_array)
+            scoped_sampler.generate_collection(len(scoped), into=scoped)
+        assert np.array_equal(persistent.member_array, scoped.member_array)
+        assert np.array_equal(persistent.tag_array, scoped.tag_array)
 
     def test_rma_doubling_rounds_share_one_pool(self, dataset, monkeypatch):
         monkeypatch.setenv(MAX_JOBS_ENV, "2")
@@ -409,7 +409,7 @@ class TestRuntime:
         instance = dataset.instance
         seeds = np.arange(8, dtype=np.int64)
         probabilities = instance.edge_probabilities(0)
-        ephemeral = engine_monte_carlo_spread(
+        scoped = engine_monte_carlo_spread(
             instance.graph, probabilities, seeds, 64, rng=9, n_jobs=2
         )
         with Runtime(ExecutionPolicy.seed(n_jobs=2)) as rt:
@@ -420,7 +420,7 @@ class TestRuntime:
                 instance.graph, probabilities, seeds, 64, rng=9, n_jobs=2
             )  # ambient pickup
             assert rt.pool_spawn_count == 1
-        assert persistent == ephemeral == again
+        assert persistent == scoped == again
 
     def test_process_cap_of_one_keeps_pool_down(self, dataset, monkeypatch):
         monkeypatch.setenv(MAX_JOBS_ENV, "1")
@@ -466,25 +466,6 @@ class TestRuntime:
             ).revenue(0, [0, 1, 2])
             assert rt.pool_spawn_count == 0  # small query stayed serial
         assert inside == baseline
-
-    def test_explicit_use_batched_false_beats_policy(self, dataset):
-        from repro.diffusion.simulation import monte_carlo_spread
-
-        instance = dataset.instance
-        probabilities = instance.edge_probabilities(0)
-        sequential = monte_carlo_spread(
-            instance.graph, probabilities, [0, 1], num_simulations=40, rng=9
-        )
-        pinned = monte_carlo_spread(
-            instance.graph,
-            probabilities,
-            [0, 1],
-            num_simulations=40,
-            rng=9,
-            use_batched=False,
-            policy=ExecutionPolicy(mc_engine="batched"),
-        )
-        assert pinned == sequential  # bit-identical: the legacy engine ran
 
     def test_run_algorithm_reuses_ambient_runtime(self, dataset, monkeypatch):
         monkeypatch.setenv(MAX_JOBS_ENV, "2")
@@ -533,12 +514,15 @@ class TestRuntime:
             assert rt.pool_spawn_count == 2
             assert rt.recovery_stats.events == 0  # deliberate closes aren't failures
 
-    def test_acquire_executor_falls_back_to_ephemeral_after_exit(self, monkeypatch):
+    def test_acquire_executor_falls_back_to_call_scoped_pool(self, monkeypatch):
         monkeypatch.setenv(MAX_JOBS_ENV, "2")
         with Runtime(ExecutionPolicy.seed(n_jobs=2)) as rt:
             assert acquire_executor(2)._pool is rt.pool
-        # After the ambient runtime exits, callers get ephemeral executors
-        # that still produce the same results (no stale pool reference).
+        # After the ambient runtime exits, callers get executors whose
+        # workers live for one call and that still produce the same results
+        # (no stale pool reference).
         fallback = acquire_executor(2)
-        assert fallback._pool is None
+        assert fallback._pool is not rt.pool
         assert fallback.run(_add_task, 10, [1, 2]) == [11, 12]
+        assert fallback._pool.spawn_count == 1
+        assert fallback._pool.processes == 0  # workers shut down with the call

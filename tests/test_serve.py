@@ -316,20 +316,34 @@ class TestOverload:
             assert srv.stats.shed == len(shed)
             assert srv.request({"op": "ping"})["ok"] is True
 
-    def test_shed_reply_is_immediate(self, instance):
+    def test_shed_reply_is_immediate(self, instance, monkeypatch):
         service = ServicePolicy(queue_depth=1, max_inflight=1)
         with AllocationServer(
             instance, policy=INLINE, rr_sets=200, seed=11, service=service
         ) as srv:
-            srv.submit({"op": "burn", "seconds": 0.4})
-            time.sleep(0.1)
-            srv.submit({"op": "ping"})  # fills the queue
-            start = time.monotonic()
-            reply = srv.submit({"op": "ping"}).wait(5)
-            if reply["ok"]:  # dispatch drained the queue between submits
-                pytest.skip("queue drained too fast to observe shedding")
-            assert time.monotonic() - start < 0.1
-            assert reply["error"]["code"] == "overloaded"
+            # Hold the dispatch thread inside a handler until released, so
+            # nothing drains the queue while it is being filled.
+            entered, release = threading.Event(), threading.Event()
+
+            def hold(request, deadline):
+                entered.set()
+                release.wait(30)
+                return {"burned_s": 0.0}
+
+            monkeypatch.setitem(srv._handlers, "burn", hold)
+            held = srv.submit({"op": "burn"})
+            try:
+                assert entered.wait(10)  # dispatch is busy, the queue empty
+                queued = srv.submit({"op": "ping"})  # fills the queue
+                start = time.monotonic()
+                reply = srv.submit({"op": "ping"}).wait(5)
+                assert time.monotonic() - start < 0.1
+                assert not reply["ok"]
+                assert reply["error"]["code"] == "overloaded"
+            finally:
+                release.set()
+            assert held.wait(10)["ok"]
+            assert queued.wait(10)["ok"]  # the admitted request still runs
 
 
 # --------------------------------------------------------------------------- #
