@@ -1,12 +1,16 @@
-"""Perf-regression harness for the batched lazy-greedy coverage engine.
+"""Perf-regression harness for the lazy-greedy coverage engine.
 
 Times the greedy-allocation consumers — CS-Greedy, CA-Greedy and
-ThresholdGreedy + Fill — with the batched coverage engine
-(``ExecutionPolicy(greedy_engine="batched")``, the ``fast`` default:
-vectorized CELF refreshes through the ``(h, n)`` coverage marginal matrix,
-see :mod:`repro.core.batched_greedy`) against the seed scalar path
-(``ExecutionPolicy.seed()``: per-element ``oracle.marginal_revenue``
-callbacks), on a Weighted-Cascade synthetic graph with an RR-set oracle.
+ThresholdGreedy + Fill — on a Weighted-Cascade synthetic graph with an
+RR-set oracle, once per element engine (see :mod:`repro.core.batched_greedy`):
+
+* ``coverage`` — the RR-set oracle itself, so the consumers refresh stale
+  CELF candidates with vectorized gathers through the ``(h, n)`` coverage
+  marginal matrix;
+* ``callback`` — the same oracle behind ``CallbackView``
+  (``tests/reference/oracle_view.py``), a plain ``RevenueOracle`` wrapper,
+  so the consumers fall back to one ``oracle.marginal_revenue`` call per
+  element (the engine Monte-Carlo and exact oracles get).
 
 Run directly::
 
@@ -15,16 +19,18 @@ Run directly::
 
 The full run writes ``BENCH_greedy_engine.json`` next to the repo root
 (override with ``--output``) and fails if the aggregate ``greedy_coverage``
-speedup drops below 3x; ``--fast`` applies a smaller CI gate.  The batched
-engine replays the scalar heap's schedule bit for bit, so every section also
-asserts the two paths returned *identical allocations*
-(``tests/test_greedy_engine_equivalence.py`` pins this per consumer).
+speedup (callback time / coverage time) drops below 3x; ``--fast`` applies a
+smaller CI gate.  Both engines see the same floats and the heap replays the
+same schedule, so every section also asserts the two engines returned
+*identical allocations* (``tests/test_greedy_engine_equivalence.py`` pins
+this per consumer).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -40,14 +46,10 @@ from repro.diffusion.models import WeightedCascadeModel
 from repro.graph.generators import preferential_attachment_digraph
 from repro.rrsets.collection import RRCollection
 from repro.rrsets.generator import SubsimRRGenerator
-from repro.runtime import ExecutionPolicy
 from repro.utils.resources import peak_rss_mib
 
-#: flag=False → scalar heap (seed policy); flag=True → batched engine
-ENGINE_POLICIES = {
-    False: ExecutionPolicy.seed(),
-    True: ExecutionPolicy(greedy_engine="batched"),
-}
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference.oracle_view import CallbackView  # noqa: E402
 
 FULL = {"num_nodes": 20_000, "out_degree": 5, "rr_sets": 3000, "min_speedup": 3.0}
 FAST = {"num_nodes": 2_000, "out_degree": 5, "rr_sets": 600, "min_speedup": 1.5}
@@ -101,64 +103,49 @@ def run(config: dict) -> dict:
     }
 
     def fresh_oracle():
-        # A fresh oracle per timed run: the scalar path warms per-query
+        # A fresh oracle per timed run: the callback engine warms per-query
         # caches that must not leak into the next measurement.
         return RRSetOracle(collection, instance.gamma)
 
     def section(name, solve):
-        scalar_s, scalar_out = _timed(lambda: solve(fresh_oracle(), False))
-        batched_s, batched_out = _timed(lambda: solve(fresh_oracle(), True))
+        callback_s, callback_out = _timed(lambda: solve(CallbackView(fresh_oracle())))
+        coverage_s, coverage_out = _timed(lambda: solve(fresh_oracle()))
         for advertiser in range(NUM_ADVERTISERS):
-            assert scalar_out.seeds(advertiser) == batched_out.seeds(advertiser), (
+            assert callback_out.seeds(advertiser) == coverage_out.seeds(advertiser), (
                 f"{name}: engines disagree for advertiser {advertiser}"
             )
         results["sections"][name] = {
-            "scalar_s": round(scalar_s, 6),
-            "batched_s": round(batched_s, 6),
-            "speedup": round(scalar_s / batched_s, 2) if batched_s else None,
+            "callback_s": round(callback_s, 6),
+            "coverage_s": round(coverage_s, 6),
+            "speedup": round(callback_s / coverage_s, 2) if coverage_s else None,
             "seeds_selected": sum(
-                len(scalar_out.seeds(i)) for i in range(NUM_ADVERTISERS)
+                len(coverage_out.seeds(i)) for i in range(NUM_ADVERTISERS)
             ),
         }
         print(
-            f"{name:<28} scalar {scalar_s:8.3f}s   batched {batched_s:8.3f}s   "
-            f"{scalar_s / batched_s:6.2f}x"
+            f"{name:<28} callback {callback_s:8.3f}s   coverage {coverage_s:8.3f}s   "
+            f"{callback_s / coverage_s:6.2f}x"
         )
 
-    section(
-        "cs_greedy",
-        lambda oracle, flag: cs_greedy(
-            instance, oracle, policy=ENGINE_POLICIES[flag]
-        ).allocation,
-    )
-    section(
-        "ca_greedy",
-        lambda oracle, flag: ca_greedy(
-            instance, oracle, policy=ENGINE_POLICIES[flag]
-        ).allocation,
-    )
+    section("cs_greedy", lambda oracle: cs_greedy(instance, oracle).allocation)
+    section("ca_greedy", lambda oracle: ca_greedy(instance, oracle).allocation)
     # One mid-range threshold: exercises the gain-ranked main loop, the
     # single-depletion rescue path and the rate-ranked Fill pass.
     gamma = 0.5 * float(min(instance.cpe(i) for i in range(NUM_ADVERTISERS)))
-    section(
-        "threshold_fill",
-        lambda oracle, flag: threshold_greedy(
-            instance, oracle, gamma, policy=ENGINE_POLICIES[flag]
-        )[0],
-    )
+    section("threshold_fill", lambda oracle: threshold_greedy(instance, oracle, gamma)[0])
 
     sections = results["sections"]
-    scalar_total = sum(entry["scalar_s"] for entry in sections.values())
-    batched_total = sum(entry["batched_s"] for entry in sections.values())
+    callback_total = sum(entry["callback_s"] for entry in sections.values())
+    coverage_total = sum(entry["coverage_s"] for entry in sections.values())
     results["greedy_coverage"] = {
         "sections": list(sections),
-        "scalar_s": round(scalar_total, 6),
-        "batched_s": round(batched_total, 6),
-        "speedup": round(scalar_total / batched_total, 2),
+        "callback_s": round(callback_total, 6),
+        "coverage_s": round(coverage_total, 6),
+        "speedup": round(callback_total / coverage_total, 2),
     }
     print(
-        f"{'greedy_coverage (total)':<28} scalar {scalar_total:8.3f}s   "
-        f"batched {batched_total:8.3f}s   {scalar_total / batched_total:6.2f}x"
+        f"{'greedy_coverage (total)':<28} callback {callback_total:8.3f}s   "
+        f"coverage {coverage_total:8.3f}s   {callback_total / coverage_total:6.2f}x"
     )
     return results
 

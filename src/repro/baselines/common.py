@@ -2,9 +2,8 @@
 
 Both baselines run the same budgeted allocation loop and package the same
 :class:`SolverResult`; they differ only in how elements are ranked (marginal
-gain vs. marginal rate).  The scalar loops stay in their own modules —
-mirroring the paper's presentation — but the batched-engine variant and the
-result builder live here so a fix lands once.
+gain vs. marginal rate), so the loop lives here once and each baseline
+module is a thin wrapper naming its ranking.
 """
 
 from __future__ import annotations
@@ -15,9 +14,10 @@ import numpy as np
 
 from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
-from repro.advertising.oracle import RevenueOracle, RRSetOracle
-from repro.core.batched_greedy import CoverageGreedyEngine
+from repro.advertising.oracle import RevenueOracle
+from repro.core.batched_greedy import engine_for
 from repro.core.result import SolverResult
+from repro.exceptions import SolverError
 from repro.utils.lazy_heap import BatchedLazyGreedy
 
 
@@ -44,25 +44,27 @@ def greedy_result(
     )
 
 
-def batched_budgeted_allocation(
+def budgeted_allocation(
     instance: RMInstance,
-    oracle: RRSetOracle,
+    oracle: RevenueOracle,
     budgets: np.ndarray,
     candidates: Optional[Iterable[int]],
     rank_by_rate: bool,
 ) -> Tuple[Allocation, Set[int]]:
-    """The CA/CS-Greedy allocation loop on the batched coverage engine.
+    """The CA/CS-Greedy allocation loop.
 
     ``rank_by_rate`` selects the CS-Greedy ranking (marginal rate) over the
     CA-Greedy one (marginal gain); every other decision — singleton
     feasibility, the assigned/closed filters, the budget accept test and the
-    advertiser-closing rule — is shared.  Decisions see the same floats as
-    the scalar loops, and the heap replays their tie-breaking exactly.
+    advertiser-closing rule — is shared.  The element engine comes from the
+    oracle (:func:`repro.core.batched_greedy.engine_for`).
     """
     h = instance.num_advertisers
     n = instance.num_nodes
-    engine = CoverageGreedyEngine(instance, oracle)
-    heap = BatchedLazyGreedy(engine.rates if rank_by_rate else engine.gains)
+    engine = engine_for(instance, oracle)
+    heap = BatchedLazyGreedy(
+        engine.rates if rank_by_rate else engine.gains, batch_size=engine.batch_size
+    )
     heap.push_array(engine.feasible_element_keys(budgets, candidates))
 
     allocation = Allocation(h)
@@ -86,5 +88,27 @@ def batched_budgeted_allocation(
             cost[advertiser] += node_cost
             heap.advance_round()
         else:
+            # The greedy stops selecting for this advertiser as soon as its
+            # top-ranked element no longer fits the budget.
             closed.add(advertiser)
     return allocation, closed
+
+
+def budgeted_greedy(
+    instance: RMInstance,
+    oracle: RevenueOracle,
+    budgets: Optional[np.ndarray],
+    candidates: Optional[Iterable[int]],
+    rank_by_rate: bool,
+    algorithm: str,
+) -> SolverResult:
+    """Validate the inputs, run :func:`budgeted_allocation`, package the result."""
+    if oracle.num_advertisers != instance.num_advertisers:
+        raise SolverError("oracle and instance disagree on the number of advertisers")
+    budget_array = (
+        np.asarray(budgets, dtype=np.float64) if budgets is not None else instance.budgets()
+    )
+    allocation, closed = budgeted_allocation(
+        instance, oracle, budget_array, candidates, rank_by_rate
+    )
+    return greedy_result(instance, oracle, allocation, closed, algorithm)

@@ -13,15 +13,10 @@ from typing import Iterable, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import RevenueOracle
-from repro.baselines.common import batched_budgeted_allocation, greedy_result
-from repro.core.batched_greedy import supports_batched_greedy
-from repro.core.greedy import marginal_rate
+from repro.baselines.common import budgeted_greedy
 from repro.core.result import SolverResult
-from repro.exceptions import SolverError
-from repro.utils.lazy_heap import LazyMarginalHeap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime import ExecutionPolicy
@@ -36,64 +31,10 @@ def cs_greedy(
 ) -> SolverResult:
     """Run CS-Greedy and return a :class:`SolverResult`.
 
-    A batched-greedy ``policy`` (the ``fast`` default — ``None`` resolves to
-    :meth:`ExecutionPolicy.fast`) runs the element heap on the batched
-    coverage engine (RR-set oracles only; other oracles keep the seed scalar
-    path).  Both engines select bit-identical allocations.
+    The element engine is picked from ``oracle`` (coverage gathers for an
+    RR-set oracle, one oracle query per element otherwise); ``policy`` is
+    accepted like on every other entry point and does not affect selection.
     """
-    from repro.runtime import resolve_policy
-
-    policy = resolve_policy(policy)
-    h = instance.num_advertisers
-    if oracle.num_advertisers != h:
-        raise SolverError("oracle and instance disagree on the number of advertisers")
-    budget_array = (
-        np.asarray(budgets, dtype=np.float64) if budgets is not None else instance.budgets()
+    return budgeted_greedy(
+        instance, oracle, budgets, candidates, rank_by_rate=True, algorithm="CS-Greedy"
     )
-
-    if policy.greedy_engine == "batched" and supports_batched_greedy(oracle, instance):
-        allocation, closed = batched_budgeted_allocation(
-            instance, oracle, budget_array, candidates, rank_by_rate=True
-        )
-        return greedy_result(instance, oracle, allocation, closed, "CS-Greedy")
-
-    allocation = Allocation(h)
-    revenue = {i: 0.0 for i in range(h)}
-    cost = {i: 0.0 for i in range(h)}
-    closed = set()
-
-    nodes = (
-        [int(node) for node in candidates]
-        if candidates is not None
-        else list(range(instance.num_nodes))
-    )
-
-    def evaluate(element):
-        node, advertiser = element
-        gain = oracle.marginal_revenue(advertiser, node, allocation.seeds(advertiser))
-        return marginal_rate(gain, instance.cost(advertiser, node))
-
-    heap: LazyMarginalHeap = LazyMarginalHeap(evaluate)
-    for advertiser in range(h):
-        for node in nodes:
-            singleton = oracle.revenue(advertiser, {node})
-            if instance.cost(advertiser, node) + singleton <= budget_array[advertiser]:
-                heap.push((node, advertiser))
-
-    while len(heap) and len(closed) < h:
-        popped = heap.pop_best()
-        if popped is None:
-            break
-        (node, advertiser), _rate = popped
-        if advertiser in closed or allocation.is_assigned(node):
-            continue
-        gain = oracle.marginal_revenue(advertiser, node, allocation.seeds(advertiser))
-        node_cost = instance.cost(advertiser, node)
-        if cost[advertiser] + node_cost + revenue[advertiser] + gain <= budget_array[advertiser]:
-            allocation.assign(node, advertiser)
-            revenue[advertiser] += gain
-            cost[advertiser] += node_cost
-            heap.advance_round()
-        else:
-            closed.add(advertiser)
-    return greedy_result(instance, oracle, allocation, closed, "CS-Greedy")

@@ -29,13 +29,12 @@ from repro.baselines.tim import (
     pilot_pool,
     tim_sample_size,
 )
-from repro.core.greedy import marginal_rate
 from repro.core.result import SolverResult
 from repro.exceptions import SolverError
 from repro.rrsets.collection import CoverageState, RRCollection
 from repro.rrsets.generator import RRSetGenerator, SubsimRRGenerator
 from repro.runtime import ExecutionPolicy, Runtime, current_runtime, resolve_policy
-from repro.utils.lazy_heap import BatchedLazyGreedy, LazyMarginalHeap
+from repro.utils.lazy_heap import BatchedLazyGreedy
 from repro.utils.rng import RandomSource, as_rng
 
 
@@ -52,15 +51,11 @@ class TIParameters:
 
     ``policy`` is the configuration channel
     (:class:`repro.runtime.ExecutionPolicy`): ``rr_engine`` selects the pool
-    generator, ``greedy_engine="batched"`` runs the allocation loop on the
-    batched coverage engine — the per-advertiser pools are merged into one
-    advertiser-tagged :class:`~repro.rrsets.collection.RRCollection` and
-    stale CELF candidates are refreshed through vectorized gathers on its
-    coverage marginal matrix (same floats, same tie-breaking, bit-identical
-    allocations) — and ``n_jobs`` shards the bulk pool fill across worker
+    generator and ``n_jobs`` shards the bulk pool fill across worker
     processes (the small pilot pools stay serial).  ``None`` defaults to
     :meth:`ExecutionPolicy.fast`; pass :meth:`ExecutionPolicy.seed` for the
-    serial seed-stream reference path.
+    serial seed-stream reference path.  The allocation loop is the same
+    under every policy (see :func:`_run_allocation`).
     """
 
     epsilon: float = 0.1
@@ -86,37 +81,13 @@ class TIParameters:
             raise SolverError("max_rr_sets_per_advertiser must be positive")
 
 
+@dataclass
 class _AdvertiserPool:
-    """Per-advertiser RR-set pool with incremental coverage bookkeeping."""
+    """One advertiser's RR-set pool and its revenue per covered set."""
 
-    def __init__(self, rr_sets: List[np.ndarray], num_nodes: int, cpe: float):
-        self.rr_sets = rr_sets
-        self.num_nodes = num_nodes
-        self.cpe = cpe
-        self.scale = cpe * num_nodes / max(1, len(rr_sets))
-        self.covered = np.zeros(len(rr_sets), dtype=bool)
-        self.membership: Dict[int, List[int]] = {}
-        for index, rr_set in enumerate(rr_sets):
-            for node in rr_set.tolist():
-                self.membership.setdefault(int(node), []).append(index)
-        self.covered_count = 0
-
-    def marginal_revenue(self, node: int) -> float:
-        """Estimated ``π_i(u | S_i)`` given the RR-sets already covered."""
-        indices = self.membership.get(int(node), ())
-        fresh = sum(1 for index in indices if not self.covered[index])
-        return self.scale * fresh
-
-    def add_seed(self, node: int) -> None:
-        """Mark every RR-set containing ``node`` as covered."""
-        for index in self.membership.get(int(node), ()):
-            if not self.covered[index]:
-                self.covered[index] = True
-                self.covered_count += 1
-
-    def revenue(self) -> float:
-        """Estimated ``π_i(S_i)`` of the currently covered RR-sets."""
-        return self.scale * self.covered_count
+    rr_sets: List[np.ndarray]
+    cpe: float
+    scale: float
 
 
 def _build_pools(
@@ -152,8 +123,9 @@ def _build_pools(
         else:
             rr_sets = rr_sets[:pool_size]
         generated_total += len(rr_sets)
+        cpe = instance.cpe(advertiser)
         pools[advertiser] = _AdvertiserPool(
-            rr_sets, instance.num_nodes, instance.cpe(advertiser)
+            rr_sets, cpe, cpe * instance.num_nodes / max(1, len(rr_sets))
         )
     diagnostics = {
         "required_rr_sets_total": required_total,
@@ -178,20 +150,19 @@ def _required_memory_proxy(
     return generated_bytes * (required_total / generated_total)
 
 
-def _run_allocation_batched(
+def _run_allocation(
     instance: RMInstance,
     pools: Dict[int, _AdvertiserPool],
     penalties: Dict[int, float],
     budgets: np.ndarray,
     cost_sensitive: bool,
 ) -> tuple[Allocation, set[int], Dict[int, float]]:
-    """The TI allocation loop on the batched coverage engine.
+    """The TI allocation loop, ranked by gain (CARM) or rate (CSRM).
 
     The per-advertiser pools are merged into one advertiser-tagged
     collection, so a :class:`CoverageState` tracks every pool's uncovered
     counts in its flat ``(h·n,)`` marginal matrix and a batch of stale
     candidates is refreshed with one gather (``scale_flat · marginal[keys]``).
-    All comparisons see the same ``scale × count`` floats as the scalar loop.
     """
     h = instance.num_advertisers
     n = instance.num_nodes
@@ -214,8 +185,8 @@ def _run_allocation_batched(
         np.divide(gains, cost_flat[keys] + gains, out=rates, where=positive)
         return rates
 
-    # Same singleton-feasibility filter and advertiser-major element order as
-    # the scalar loop: singleton revenue is scale × membership count.
+    # Singleton feasibility, advertiser-major element order: singleton
+    # revenue is scale × membership count.
     membership_flat = combined.membership_counts().ravel()
     all_keys = np.arange(h * n, dtype=np.int64)
     feasible = cost_flat + scale_flat * membership_flat <= np.repeat(budgets, n)
@@ -294,64 +265,9 @@ def run_ti_baseline(
             fraction_error, params.epsilon
         )
 
-    if policy.greedy_engine == "batched":
-        allocation, closed, per_advertiser = _run_allocation_batched(
-            instance, pools, penalties, budgets, cost_sensitive
-        )
-        return SolverResult(
-            allocation=allocation,
-            revenue=sum(per_advertiser.values()),
-            per_advertiser_revenue=per_advertiser,
-            seeding_cost=instance.total_seeding_cost(allocation),
-            algorithm=algorithm_name,
-            depleted_budgets=len(closed),
-            metadata={
-                "epsilon": params.epsilon,
-                "delta": params.delta,
-                **diagnostics,
-            },
-        )
-
-    allocation = Allocation(h)
-    cost = {i: 0.0 for i in range(h)}
-    closed: set[int] = set()
-
-    def evaluate(element):
-        node, advertiser = element
-        gain = pools[advertiser].marginal_revenue(node)
-        if cost_sensitive:
-            return marginal_rate(gain, instance.cost(advertiser, node))
-        return gain
-
-    heap: LazyMarginalHeap = LazyMarginalHeap(evaluate)
-    for advertiser in range(h):
-        for node in range(instance.num_nodes):
-            singleton = pools[advertiser].scale * len(
-                pools[advertiser].membership.get(node, ())
-            )
-            if instance.cost(advertiser, node) + singleton <= budgets[advertiser]:
-                heap.push((node, advertiser))
-
-    while len(heap) and len(closed) < h:
-        popped = heap.pop_best()
-        if popped is None:
-            break
-        (node, advertiser), value = popped
-        if advertiser in closed or allocation.is_assigned(node) or value <= 0.0:
-            continue
-        pool = pools[advertiser]
-        gain = pool.marginal_revenue(node)
-        node_cost = instance.cost(advertiser, node)
-        projected_revenue = pool.revenue() + gain + penalties[advertiser]
-        if cost[advertiser] + node_cost + projected_revenue <= budgets[advertiser]:
-            allocation.assign(node, advertiser)
-            pool.add_seed(node)
-            cost[advertiser] += node_cost
-            heap.advance_round()
-        else:
-            closed.add(advertiser)
-
-    per_advertiser = {advertiser: pools[advertiser].revenue() for advertiser in range(h)}
+    allocation, closed, per_advertiser = _run_allocation(
+        instance, pools, penalties, budgets, cost_sensitive
+    )
     return SolverResult(
         allocation=allocation,
         revenue=sum(per_advertiser.values()),

@@ -1,7 +1,12 @@
 """The paper's algorithms: oracle-setting solvers, sampling solvers and bounds."""
 
 from repro.core.result import SolverResult, SearchByproducts
-from repro.core.batched_greedy import CoverageGreedyEngine, supports_batched_greedy
+from repro.core.batched_greedy import (
+    CoverageGreedyEngine,
+    OracleGreedyEngine,
+    engine_for,
+    supports_batched_greedy,
+)
 from repro.core.greedy import greedy_single_advertiser
 from repro.core.threshold_greedy import threshold_greedy, fill
 from repro.core.search import search_threshold, gamma_max
@@ -25,6 +30,8 @@ __all__ = [
     "SolverResult",
     "SearchByproducts",
     "CoverageGreedyEngine",
+    "OracleGreedyEngine",
+    "engine_for",
     "supports_batched_greedy",
     "greedy_single_advertiser",
     "threshold_greedy",

@@ -1,50 +1,42 @@
-"""Batched lazy-greedy coverage engine — vectorized element evaluation.
+"""Element engines for the lazy-greedy loops — one loop, two evaluators.
 
-Every greedy consumer in the repo (Algorithms 1-3, CA/CS-Greedy, the TI
-baselines' allocation loop) ranks ``(node, advertiser)`` elements by marginal
-gain or marginal rate.  With an :class:`~repro.advertising.oracle.RRSetOracle`
-those marginals are pure maximum-coverage counts, and
-:class:`~repro.rrsets.collection.CoverageState` already maintains the full
-``(h, n)`` marginal matrix incrementally.  The seed code path nevertheless
-routes every (re-)evaluation through a scalar Python callback —
-``oracle.marginal_revenue`` with its frozenset hashing and per-advertiser
-mask caches — which is the last large Python-loop hot path after the RR-set
-and Monte-Carlo engine rewrites.
-
-This module is the glue between those two layers:
+Every greedy consumer in the repo (Algorithms 1-3, ``gamma_max``,
+CA/CS-Greedy) ranks ``(node, advertiser)`` elements by marginal gain or
+marginal rate.  Each consumer has exactly one selection loop, written over
+int64 element keys and driven by
+:class:`~repro.utils.lazy_heap.BatchedLazyGreedy`; what differs between
+oracles is only how a batch of elements is evaluated.  That is this
+module's job:
 
 * **Element encoding** — an element ``(node, advertiser)`` is the int64 key
   ``advertiser · n + node``, i.e. the *flat index* into both the raveled
   ``(h, n)`` marginal matrix and the raveled ``(h, n)`` seeding-cost matrix.
-  Decoding is one ``divmod``; a batch of keys gathers marginals and costs
-  with plain fancy indexing, no per-element arithmetic.
-* :class:`CoverageGreedyEngine` — owns a fresh
+  Decoding is one ``divmod``; a batch of keys gathers costs with plain fancy
+  indexing, no per-element arithmetic.
+* :class:`CoverageGreedyEngine` — for an
+  :class:`~repro.advertising.oracle.RRSetOracle` the marginals are pure
+  maximum-coverage counts.  The engine owns a fresh
   :class:`~repro.rrsets.collection.CoverageState` over the oracle's
-  collection plus read-only flat views of the marginal and cost matrices,
-  and exposes the three vectorized evaluators the consumers need
-  (:meth:`gains`, :meth:`rates`, and the feasibility filter
-  :meth:`feasible_element_keys`).  ``add_seed`` forwards to the coverage
-  state, so a subsequent gather sees the updated marginals.
+  collection, so a batch of stale candidates is refreshed with **one**
+  gather ``scale · marginal[keys]`` (plus one vectorized rate transform for
+  the rate-ranked consumers).  Gains are ``scale × integer-count`` exactly
+  like the oracle's own answers, so accept/reject decisions see the same
+  floats.  Runs on heap batches of :data:`DEFAULT_BATCH_SIZE`.
+* :class:`OracleGreedyEngine` — every other oracle (Monte-Carlo, exact): one
+  ``oracle.revenue`` / ``oracle.marginal_revenue`` call per element, in key
+  order.  A :class:`~repro.advertising.oracle.MonteCarloOracle` draws every
+  fresh query from one shared RNG, so this engine must never speculate: it
+  runs on heap batches of 1, where the heap evaluates exactly the elements
+  the textbook scalar CELF schedule refreshes, in the same order.
 
-Paired with :class:`~repro.utils.lazy_heap.BatchedLazyGreedy`, a greedy
-round becomes: pop the stale top, refresh it and the next batch of stale
-candidates with **one** gather ``scale · marginal[keys]`` (plus one
-vectorized rate transform for the rate-ranked consumers), and select the
-surviving top element.  Gains are computed as ``scale × integer-count``
-exactly like the scalar oracle path, so accept/reject decisions see
-bit-identical floats, and the batched heap replays the scalar heap's refresh
-schedule and tie-breaking exactly (see :mod:`repro.utils.lazy_heap`) — the
-batched consumers select *identical allocations*, just faster.
-
-The engine requires an :class:`RRSetOracle`; consumers fall back to the seed
-scalar path for Monte-Carlo / exact oracles, where a batch evaluation would
-still be one simulation per element.  Use :func:`supports_batched_greedy` to
-test eligibility.
+Both engines expose the same methods (:meth:`gains`, :meth:`rates`,
+:meth:`gain`, :meth:`feasible_element_keys`, :meth:`add_seed`, ...) and a
+``batch_size``; :func:`engine_for` picks one from the oracle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -58,7 +50,7 @@ DEFAULT_BATCH_SIZE = 64
 
 
 def supports_batched_greedy(oracle: RevenueOracle, instance: RMInstance) -> bool:
-    """Whether the batched coverage engine can drive this oracle.
+    """Whether the coverage engine can drive this oracle.
 
     True only for an :class:`RRSetOracle` covering at least the instance's
     advertisers; other oracles have no coverage matrix to gather from.
@@ -69,7 +61,129 @@ def supports_batched_greedy(oracle: RevenueOracle, instance: RMInstance) -> bool
     )
 
 
-class CoverageGreedyEngine:
+class _ElementEngine:
+    """Shared element encoding, rate transform and feasibility filters.
+
+    Subclasses supply :meth:`gains`, :meth:`singleton_gains`, :meth:`gain`
+    and :meth:`add_seed`, plus the heap ``batch_size`` their evaluator
+    tolerates.
+    """
+
+    batch_size = DEFAULT_BATCH_SIZE
+
+    def __init__(self, instance: RMInstance):
+        self._instance = instance
+        self._num_nodes = instance.num_nodes
+        self._cost_flat = instance.cost_matrix().ravel()
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of graph nodes ``n`` (the key-encoding stride)."""
+        return self._num_nodes
+
+    def encode(self, node: int, advertiser: int) -> int:
+        """Flat element key ``advertiser·n + node``."""
+        return advertiser * self._num_nodes + int(node)
+
+    # ------------------------------------------------------------------ #
+    # evaluators (gains / singleton_gains come from the subclass)
+    # ------------------------------------------------------------------ #
+    def gains(self, keys: np.ndarray) -> np.ndarray:
+        """Marginal revenues ``π_i(u | S_i)`` for a batch of element keys."""
+        raise NotImplementedError
+
+    def singleton_gains(self, keys: np.ndarray) -> np.ndarray:
+        """Singleton revenues ``π_i({u})`` for a batch of element keys."""
+        raise NotImplementedError
+
+    def _to_rates(self, gains: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """``ζ = gain / (cost + gain)``, 0 for non-positive gains.
+
+        Elementwise identical (IEEE-754) to the scalar
+        :func:`repro.core.greedy.marginal_rate` on the same gains/costs.
+        """
+        positive = gains > 0.0
+        rates = np.zeros(gains.shape, dtype=np.float64)
+        np.divide(gains, self._cost_flat[keys] + gains, out=rates, where=positive)
+        return rates
+
+    def rates(self, keys: np.ndarray) -> np.ndarray:
+        """Marginal rates ``ζ_i(u | S_i)`` for a batch of element keys."""
+        return self._to_rates(self.gains(keys), keys)
+
+    def singleton_rates(self, keys: np.ndarray) -> np.ndarray:
+        """Singleton rates ``ζ_i(u | ∅)`` for a batch of element keys."""
+        return self._to_rates(self.singleton_gains(keys), keys)
+
+    def node_rates(self, advertiser: int, nodes: np.ndarray) -> np.ndarray:
+        """Marginal rates of ``nodes`` for a single advertiser."""
+        return self.rates(advertiser * self._num_nodes + nodes)
+
+    # ------------------------------------------------------------------ #
+    # feasibility initialisation
+    # ------------------------------------------------------------------ #
+    def candidate_nodes(self, candidates: Optional[Iterable[int]]) -> np.ndarray:
+        """Candidate pool as an int64 array (defaults to all nodes), validated.
+
+        The one place a ``candidates=`` argument is checked: every greedy
+        consumer raises :class:`ProblemDefinitionError` for an out-of-range
+        node, whatever the oracle, before any oracle query.
+        """
+        if candidates is None:
+            return np.arange(self._num_nodes, dtype=np.int64)
+        nodes = np.asarray([int(node) for node in candidates], dtype=np.int64)
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= self._num_nodes):
+            bad = nodes[(nodes < 0) | (nodes >= self._num_nodes)][0]
+            raise ProblemDefinitionError(f"node {bad} out of range")
+        return nodes
+
+    def singleton_feasible_nodes(
+        self, advertiser: int, budget: float, candidates: Optional[Iterable[int]] = None
+    ) -> np.ndarray:
+        """Nodes whose singleton cost + revenue fits ``budget`` (Line 1 of Alg. 1).
+
+        Singleton revenues are evaluated in candidate order.
+        """
+        nodes = self.candidate_nodes(candidates)
+        keys = advertiser * self._num_nodes + nodes
+        mask = self._cost_flat[keys] + self.singleton_gains(keys) <= budget
+        return nodes[mask]
+
+    def feasible_element_keys(
+        self,
+        budgets: np.ndarray,
+        candidates: Optional[Iterable[int]] = None,
+    ) -> np.ndarray:
+        """All singleton-feasible element keys, advertiser-major.
+
+        The element order (advertiser-major, candidate order within each
+        advertiser) is behaviour: the lazy heap breaks exact ties by
+        insertion order, and an RNG-backed oracle answers its singleton
+        queries in this order.
+        """
+        nodes = self.candidate_nodes(candidates)
+        chunks: List[np.ndarray] = []
+        for advertiser in range(self._instance.num_advertisers):
+            keys = advertiser * self._num_nodes + nodes
+            mask = self._cost_flat[keys] + self.singleton_gains(keys) <= budgets[advertiser]
+            chunks.append(keys[mask])
+        if not chunks:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(chunks)
+
+    # ------------------------------------------------------------------ #
+    # scalar access and state updates (from the subclass)
+    # ------------------------------------------------------------------ #
+    def gain(self, advertiser: int, node: int) -> float:
+        """Scalar marginal revenue — the same float the oracle would return."""
+        raise NotImplementedError
+
+    def add_seed(self, advertiser: int, node: int) -> None:
+        """Assign ``node`` to ``advertiser`` in the engine's own seed state."""
+        raise NotImplementedError
+
+
+class CoverageGreedyEngine(_ElementEngine):
     """Vectorized marginal evaluation over an RR-set oracle's coverage state.
 
     Parameters
@@ -87,140 +201,82 @@ class CoverageGreedyEngine:
             raise ProblemDefinitionError(
                 "CoverageGreedyEngine requires an RRSetOracle covering the instance"
             )
-        self._instance = instance
-        self._oracle = oracle
-        self._num_nodes = instance.num_nodes
+        super().__init__(instance)
         self._scale = oracle.scale
+        self._singleton_flat = oracle.collection.membership_counts().ravel()
         self._state = CoverageState(oracle.collection)
-        # Flat views sharing the underlying buffers: marginal updates made by
+        # Flat view sharing the underlying buffer: marginal updates made by
         # add_seed are visible through _marginal_flat with no re-gather.
         self._marginal_flat = self._state.marginal_matrix().ravel()
-        self._cost_flat = instance.cost_matrix().ravel()
 
-    # ------------------------------------------------------------------ #
-    # element encoding
-    # ------------------------------------------------------------------ #
-    @property
-    def num_nodes(self) -> int:
-        """Number of graph nodes ``n`` (the key-encoding stride)."""
-        return self._num_nodes
-
-    @property
-    def scale(self) -> float:
-        """``nΓ / |R|`` — revenue per covered RR-set (from the oracle)."""
-        return self._scale
-
-    @property
-    def state(self) -> CoverageState:
-        """The engine's private coverage state."""
-        return self._state
-
-    def encode(self, node: int, advertiser: int) -> int:
-        """Flat element key ``advertiser·n + node``."""
-        return advertiser * self._num_nodes + int(node)
-
-    def decode(self, key: int) -> Tuple[int, int]:
-        """Inverse of :meth:`encode` — returns ``(node, advertiser)``."""
-        advertiser, node = divmod(int(key), self._num_nodes)
-        return node, advertiser
-
-    # ------------------------------------------------------------------ #
-    # vectorized evaluators
-    # ------------------------------------------------------------------ #
     def gains(self, keys: np.ndarray) -> np.ndarray:
-        """Marginal revenues ``π_i(u | S_i)`` for a batch of element keys."""
         return self._scale * self._marginal_flat[keys]
 
-    def rates(self, keys: np.ndarray) -> np.ndarray:
-        """Marginal rates ``ζ = gain / (cost + gain)`` for a batch of keys.
-
-        Elementwise identical (IEEE-754) to the scalar
-        :func:`repro.core.greedy.marginal_rate` on the same gains/costs.
-        """
-        gains = self.gains(keys)
-        positive = gains > 0.0
-        rates = np.zeros(gains.shape, dtype=np.float64)
-        np.divide(
-            gains, self._cost_flat[keys] + gains, out=rates, where=positive
-        )
-        return rates
-
-    def node_gains(self, advertiser: int, nodes: np.ndarray) -> np.ndarray:
-        """Marginal revenues of ``nodes`` for a single advertiser."""
-        return self.gains(advertiser * self._num_nodes + nodes)
-
-    def node_rates(self, advertiser: int, nodes: np.ndarray) -> np.ndarray:
-        """Marginal rates of ``nodes`` for a single advertiser."""
-        return self.rates(advertiser * self._num_nodes + nodes)
+    def singleton_gains(self, keys: np.ndarray) -> np.ndarray:
+        # Singleton revenue is scale × membership count: the initial
+        # marginal matrix, whatever seeds have been added since.
+        return self._scale * self._singleton_flat[keys]
 
     def gain(self, advertiser: int, node: int) -> float:
-        """Scalar marginal revenue — same float the oracle path computes."""
         return self._scale * int(
             self._marginal_flat[advertiser * self._num_nodes + int(node)]
         )
 
-    # ------------------------------------------------------------------ #
-    # feasibility initialisation
-    # ------------------------------------------------------------------ #
-    def candidate_nodes(self, candidates: Optional[Iterable[int]]) -> np.ndarray:
-        """Candidate pool as an int64 array (defaults to all nodes), validated."""
-        if candidates is None:
-            return np.arange(self._num_nodes, dtype=np.int64)
-        nodes = np.asarray([int(node) for node in candidates], dtype=np.int64)
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= self._num_nodes):
-            bad = nodes[(nodes < 0) | (nodes >= self._num_nodes)][0]
-            raise ProblemDefinitionError(f"node {bad} out of range")
-        return nodes
-
-    def singleton_feasible_nodes(
-        self, advertiser: int, budget: float, candidates: Optional[Iterable[int]] = None
-    ) -> np.ndarray:
-        """Nodes whose singleton cost + revenue fits ``budget`` (Line 1 of Alg. 1).
-
-        Singleton revenue is ``scale × membership count`` — the initial
-        marginal matrix — so the filter is one vectorized comparison.
-        """
-        nodes = self.candidate_nodes(candidates)
-        keys = advertiser * self._num_nodes + nodes
-        singleton = self._scale * self._oracle.collection.membership_counts().ravel()[keys]
-        mask = self._cost_flat[keys] + singleton <= budget
-        return nodes[mask]
-
-    def feasible_element_keys(
-        self,
-        budgets: np.ndarray,
-        candidates: Optional[Iterable[int]] = None,
-    ) -> np.ndarray:
-        """All singleton-feasible element keys, advertiser-major.
-
-        Matches the element order of the scalar
-        ``threshold_greedy._candidate_elements`` path (advertiser-major,
-        candidate order within each advertiser), which is behaviour: the lazy
-        heaps break exact ties by insertion order.
-        """
-        nodes = self.candidate_nodes(candidates)
-        singleton_counts = self._oracle.collection.membership_counts().ravel()
-        chunks: List[np.ndarray] = []
-        for advertiser in range(self._instance.num_advertisers):
-            keys = advertiser * self._num_nodes + nodes
-            singleton = self._scale * singleton_counts[keys]
-            mask = self._cost_flat[keys] + singleton <= budgets[advertiser]
-            chunks.append(keys[mask])
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
-
-    # ------------------------------------------------------------------ #
-    # state updates
-    # ------------------------------------------------------------------ #
-    def add_seed(self, advertiser: int, node: int) -> int:
-        """Assign ``node`` to ``advertiser``; returns the newly covered count.
-
-        Only RR-sets tagged ``advertiser`` are covered (tags partition the
-        collection), so the other advertisers' marginal rows are untouched.
-        """
-        return self._state.add_seed(advertiser, int(node))
+    def add_seed(self, advertiser: int, node: int) -> None:
+        # Only RR-sets tagged ``advertiser`` are covered (tags partition the
+        # collection), so the other advertisers' marginal rows are untouched.
+        self._state.add_seed(advertiser, int(node))
 
     def revenue_for(self, advertiser: int) -> float:
         """``scale × covered count`` for one advertiser's accumulated seeds."""
         return self._scale * self._state.covered_count_for(advertiser)
+
+
+class OracleGreedyEngine(_ElementEngine):
+    """Per-element oracle callbacks for oracles without a coverage matrix.
+
+    Every evaluation is one oracle query — ``revenue(i, {u})`` for
+    singletons, ``marginal_revenue(i, u, S_i)`` otherwise — issued in key
+    order, against seed sets the engine accumulates through
+    :meth:`add_seed`.  ``batch_size`` is 1, so a
+    :class:`~repro.utils.lazy_heap.BatchedLazyGreedy` driven by this engine
+    queries exactly the elements a scalar CELF loop would, in the same
+    order; a shared-RNG Monte-Carlo oracle therefore returns the same
+    estimates to both.
+    """
+
+    batch_size = 1
+
+    def __init__(self, instance: RMInstance, oracle: RevenueOracle):
+        super().__init__(instance)
+        self._oracle = oracle
+        self._seeds: Dict[int, Set[int]] = {
+            advertiser: set() for advertiser in range(instance.num_advertisers)
+        }
+
+    def gains(self, keys: np.ndarray) -> np.ndarray:
+        n = self._num_nodes
+        return np.array(
+            [self.gain(*divmod(key, n)) for key in keys.tolist()], dtype=np.float64
+        )
+
+    def singleton_gains(self, keys: np.ndarray) -> np.ndarray:
+        n = self._num_nodes
+        pairs = (divmod(key, n) for key in keys.tolist())
+        return np.array(
+            [self._oracle.revenue(advertiser, {node}) for advertiser, node in pairs],
+            dtype=np.float64,
+        )
+
+    def gain(self, advertiser: int, node: int) -> float:
+        return self._oracle.marginal_revenue(advertiser, node, self._seeds[advertiser])
+
+    def add_seed(self, advertiser: int, node: int) -> None:
+        self._seeds[advertiser].add(int(node))
+
+
+def engine_for(instance: RMInstance, oracle: RevenueOracle) -> _ElementEngine:
+    """The element engine for ``oracle``: coverage gathers or oracle callbacks."""
+    if supports_batched_greedy(oracle, instance):
+        return CoverageGreedyEngine(instance, oracle)
+    return OracleGreedyEngine(instance, oracle)

@@ -19,12 +19,9 @@ import numpy as np
 
 from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import RevenueOracle
-from repro.core.batched_greedy import (
-    CoverageGreedyEngine,
-    supports_batched_greedy,
-)
+from repro.core.batched_greedy import engine_for
 from repro.exceptions import SolverError
-from repro.utils.lazy_heap import BatchedLazyGreedy, LazyMarginalHeap
+from repro.utils.lazy_heap import BatchedLazyGreedy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime import ExecutionPolicy
@@ -56,7 +53,10 @@ def greedy_single_advertiser(
     instance:
         The RM instance (supplies costs and the default budget).
     oracle:
-        Revenue oracle used to evaluate ``π_i``.
+        Revenue oracle used to evaluate ``π_i``.  The element engine is
+        picked from it (:func:`repro.core.batched_greedy.engine_for`):
+        coverage gathers for an RR-set oracle, one oracle query per element
+        otherwise.
     advertiser:
         The advertiser index ``i``.
     candidates:
@@ -65,13 +65,8 @@ def greedy_single_advertiser(
         Budget override ``B_i`` (the sampling solver passes the relaxed
         ``(1 + ϱ/2)·B_i`` here).
     policy:
-        :class:`repro.runtime.ExecutionPolicy`; its ``greedy_engine`` field
-        selects between the batched coverage engine
-        (:mod:`repro.core.batched_greedy`, the ``fast`` default) — which
-        requires an :class:`~repro.advertising.oracle.RRSetOracle` and
-        silently falls back to the scalar path otherwise — and per-element
-        oracle callbacks (``"scalar"``).  Both paths return bit-identical
-        sets.  ``None`` resolves to :meth:`ExecutionPolicy.fast`.
+        Accepted like on every other entry point; greedy selection has one
+        engine per oracle type, so the policy does not affect it.
 
     Returns
     -------
@@ -79,97 +74,34 @@ def greedy_single_advertiser(
         ``(best, selected, stopple)`` where ``best`` is the higher-revenue of
         ``selected`` (= ``S_i``) and ``stopple`` (= ``D_i``).
     """
-    from repro.runtime import resolve_policy
-
-    policy = resolve_policy(policy)
     if not 0 <= advertiser < instance.num_advertisers:
         raise SolverError(f"advertiser {advertiser} out of range")
     budget_i = instance.budget(advertiser) if budget is None else float(budget)
     if budget_i <= 0:
         raise SolverError("budget must be positive")
-    if policy.greedy_engine == "batched" and supports_batched_greedy(oracle, instance):
-        return _greedy_single_advertiser_batched(
-            instance, oracle, advertiser, candidates, budget_i
-        )
+    engine = engine_for(instance, oracle)
     candidate_pool = (
         set(int(node) for node in candidates)
         if candidates is not None
         else set(range(instance.num_nodes))
     )
-
-    selected: Set[int] = set()
-    stopple: Set[int] = set()
-    # Revenue of the current S_i, updated incrementally to avoid re-evaluating.
-    current_revenue = 0.0
-
-    def singleton_feasible(node: int) -> bool:
-        return instance.cost(advertiser, node) + oracle.revenue(advertiser, {node}) <= budget_i
-
     # Line 1: drop candidates that cannot fit the budget even on their own.
-    feasible_candidates = {node for node in candidate_pool if singleton_feasible(node)}
-
-    def evaluate(node: int) -> float:
-        gain = oracle.marginal_revenue(advertiser, node, selected)
-        return marginal_rate(gain, instance.cost(advertiser, node))
-
-    heap: LazyMarginalHeap[int] = LazyMarginalHeap(evaluate)
-    heap.push_many(feasible_candidates)
-
-    while len(heap) and not stopple:
-        popped = heap.pop_best()
-        if popped is None:
-            break
-        node, _rate = popped
-        gain = oracle.marginal_revenue(advertiser, node, selected)
-        cost_with_node = instance.cost_of_set(advertiser, selected | {node})
-        revenue_with_node = current_revenue + gain
-        if cost_with_node + revenue_with_node <= budget_i:
-            selected.add(node)
-            current_revenue = revenue_with_node
-            heap.advance_round()
-        else:
-            stopple.add(node)
-
-    revenue_selected = oracle.revenue(advertiser, selected) if selected else 0.0
-    revenue_stopple = oracle.revenue(advertiser, stopple) if stopple else 0.0
-    best = selected if revenue_selected >= revenue_stopple else stopple
-    return set(best), selected, stopple
-
-
-def _greedy_single_advertiser_batched(
-    instance: RMInstance,
-    oracle: RevenueOracle,
-    advertiser: int,
-    candidates: Optional[Iterable[int]],
-    budget_i: float,
-) -> Tuple[Set[int], Set[int], Set[int]]:
-    """Algorithm 1 on the batched coverage engine (same contract, same loop).
-
-    Gains come from one gather against the coverage marginal matrix, so every
-    accept/reject comparison sees the same ``scale × count`` floats as the
-    scalar oracle path.  The feasibility filter is vectorized, but candidates
-    are inserted by iterating the same Python sets the scalar path builds —
-    the heaps break exact value ties by insertion order, so the iteration
-    order of ``feasible_candidates`` is behaviour.
-    """
-    engine = CoverageGreedyEngine(instance, oracle)
-    candidate_pool = (
-        set(int(node) for node in candidates)
-        if candidates is not None
-        else set(range(instance.num_nodes))
-    )
-    feasible = engine.singleton_feasible_nodes(
-        advertiser, budget_i, sorted(candidate_pool)
-    )
+    # Singletons are evaluated, and the survivors inserted, in the iteration
+    # order of the candidate *set*: the heap breaks exact value ties by
+    # insertion order, and an RNG-backed oracle answers in query order.
+    feasible = engine.singleton_feasible_nodes(advertiser, budget_i, list(candidate_pool))
     feasible_mask = np.zeros(instance.num_nodes, dtype=bool)
     feasible_mask[feasible] = True
     feasible_candidates = {node for node in candidate_pool if feasible_mask[node]}
 
     selected: Set[int] = set()
     stopple: Set[int] = set()
+    # Revenue of the current S_i, updated incrementally to avoid re-evaluating.
     current_revenue = 0.0
 
-    heap = BatchedLazyGreedy(lambda nodes: engine.node_rates(advertiser, nodes))
+    heap = BatchedLazyGreedy(
+        lambda nodes: engine.node_rates(advertiser, nodes), batch_size=engine.batch_size
+    )
     heap.push_array(
         np.fromiter(feasible_candidates, dtype=np.int64, count=len(feasible_candidates))
     )

@@ -60,12 +60,11 @@ def rm_with_oracle(
     candidates:
         Optional candidate node pool (defaults to all nodes).
     policy:
-        :class:`repro.runtime.ExecutionPolicy`; ``greedy_engine="batched"``
-        (the ``fast`` default — ``None`` resolves to
-        :meth:`ExecutionPolicy.fast`) runs every greedy inner loop on the
-        batched coverage engine (:mod:`repro.core.batched_greedy`) —
-        effective only with an RR-set oracle, other oracles keep the seed
-        scalar path.  Both engines select bit-identical allocations.
+        Accepted like on every other entry point.  Every greedy inner loop
+        picks its element engine from ``oracle`` (coverage gathers for an
+        RR-set oracle, one oracle query per element otherwise, see
+        :mod:`repro.core.batched_greedy`), so the policy does not affect
+        the result.
 
     Returns
     -------
@@ -73,9 +72,6 @@ def rm_with_oracle(
         Allocation, revenue (as measured by ``oracle``) and, for ``h ≥ 2``,
         the :class:`SearchByproducts` consumed by ``SeekUB``.
     """
-    from repro.runtime import resolve_policy
-
-    policy = resolve_policy(policy)
     h = instance.num_advertisers
     if oracle.num_advertisers != h:
         raise SolverError("oracle and instance disagree on the number of advertisers")
@@ -89,7 +85,6 @@ def rm_with_oracle(
             0,
             candidates=candidates,
             budget=budget,
-            policy=policy,
         )
         allocation = Allocation(1)
         for node in best:
@@ -116,7 +111,6 @@ def rm_with_oracle(
         b_min=b_min,
         budgets=budgets,
         candidates=candidates,
-        policy=policy,
     )
     per_advertiser = {
         advertiser: (oracle.revenue(advertiser, seeds) if seeds else 0.0)

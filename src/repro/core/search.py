@@ -17,8 +17,7 @@ import numpy as np
 from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import RevenueOracle
-from repro.core.batched_greedy import supports_batched_greedy
-from repro.core.greedy import marginal_rate
+from repro.core.batched_greedy import engine_for
 from repro.core.result import SearchByproducts
 from repro.core.threshold_greedy import threshold_greedy
 from repro.exceptions import SolverError
@@ -37,56 +36,24 @@ def gamma_max(
     """``γ_max = max{B_j · ζ_j(v | ∅) : v ∈ V, j ∈ [h]}`` (Eq. 6).
 
     A threshold above this value rejects every node, so the binary search
-    never needs to look beyond ``(1+τ)·γ_max``.  With a batched-greedy
-    policy (the ``fast`` default — ``None`` resolves to
-    :meth:`ExecutionPolicy.fast`) and an RR-set oracle the ``h·n``
-    singleton rates come from one vectorized pass over the
-    membership-count matrix (the same floats the scalar loop computes, so
-    the maximum is unchanged bit for bit).
+    never needs to look beyond ``(1+τ)·γ_max``.  The ``h·n`` singleton rates
+    come from the oracle's element engine, one advertiser at a time in
+    candidate order (for an RR-set oracle, one vectorized pass over the
+    membership-count matrix).  ``policy`` is accepted like on every other
+    entry point and does not affect the result.
     """
-    from repro.runtime import resolve_policy
-
-    policy = resolve_policy(policy)
     budget_array = (
         np.asarray(budgets, dtype=np.float64) if budgets is not None else instance.budgets()
     )
-    if policy.greedy_engine == "batched" and supports_batched_greedy(oracle, instance):
-        node_array = (
-            np.asarray([int(node) for node in candidates], dtype=np.int64)
-            if candidates is not None
-            else np.arange(instance.num_nodes, dtype=np.int64)
-        )
-        if node_array.size == 0:
-            return 0.0
-        if node_array.min() < 0 or node_array.max() >= instance.num_nodes:
-            bad = node_array[(node_array < 0) | (node_array >= instance.num_nodes)][0]
-            raise SolverError(f"node {bad} out of range")
-        # Singleton revenues are just scale × membership count — no coverage
-        # state needed, γ_max never looks past the empty solution.
-        singleton = oracle.scale * oracle.collection.membership_counts()
-        costs = instance.cost_matrix()
-        best = 0.0
-        for advertiser in range(instance.num_advertisers):
-            gains = singleton[advertiser, node_array]
-            positive = gains > 0.0
-            rates = np.zeros(gains.shape, dtype=np.float64)
-            np.divide(
-                gains, costs[advertiser, node_array] + gains, out=rates, where=positive
-            )
-            best = max(best, float(budget_array[advertiser] * rates.max()))
-        return best
-    nodes = (
-        [int(node) for node in candidates]
-        if candidates is not None
-        else list(range(instance.num_nodes))
-    )
+    engine = engine_for(instance, oracle)
+    nodes = engine.candidate_nodes(candidates)
+    if nodes.size == 0:
+        return 0.0
     best = 0.0
     for advertiser in range(instance.num_advertisers):
-        budget = float(budget_array[advertiser])
-        for node in nodes:
-            revenue = oracle.revenue(advertiser, {node})
-            rate = marginal_rate(revenue, instance.cost(advertiser, node))
-            best = max(best, budget * rate)
+        rates = engine.singleton_rates(advertiser * instance.num_nodes + nodes)
+        # B·max(ζ) == max(B·ζ) bit for bit: rounding is monotone.
+        best = max(best, float(budget_array[advertiser] * rates.max()))
     return best
 
 
@@ -115,14 +82,10 @@ def search_threshold(
         stopping rule terminates in ``O(log(h·γ_max / min_i cpe(i)))``
         iterations, the cap only guards against degenerate inputs.
     policy:
-        :class:`repro.runtime.ExecutionPolicy` forwarded to ``gamma_max``
-        and every ``threshold_greedy`` invocation (its ``greedy_engine``
-        field selects the batched coverage engine, RR-set oracles only;
-        ``None`` resolves to :meth:`ExecutionPolicy.fast`).
+        Accepted like on every other entry point; the greedy loops pick
+        their element engine from the oracle, so the policy does not
+        affect the search.
     """
-    from repro.runtime import resolve_policy
-
-    policy = resolve_policy(policy)
     if not 0.0 < tau < 1.0:
         raise SolverError("tau must lie in (0, 1)")
     if b_min not in (1, 2):
@@ -137,9 +100,7 @@ def search_threshold(
     min_cpe = float(min(instance.cpe(i) for i in range(h)))
     stop_gamma = min_cpe / (h + 6)
 
-    gamma_upper_limit = (1.0 + tau) * gamma_max(
-        instance, oracle, budget_array, candidates, policy=policy
-    )
+    gamma_upper_limit = (1.0 + tau) * gamma_max(instance, oracle, budget_array, candidates)
     gamma_low, gamma_high = 0.0, gamma_upper_limit
     gamma = gamma_low
 
@@ -156,7 +117,6 @@ def search_threshold(
             gamma,
             budgets=budget_array,
             candidates=candidates,
-            policy=policy,
         )
         revenue = oracle.total_revenue(allocation)
         tried.append((allocation, revenue))

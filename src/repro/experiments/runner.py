@@ -7,8 +7,8 @@ allocation with an independent estimator so the reported revenue is
 comparable across algorithms.
 
 Every stage resolves :meth:`repro.runtime.ExecutionPolicy.fast` when no
-policy is given — SUBSIM RR generation, batched Monte-Carlo and greedy
-engines, all cores.  Pass ``policy=ExecutionPolicy.seed()`` to pin the
+policy is given — SUBSIM RR generation, the batched Monte-Carlo engine,
+all cores.  Pass ``policy=ExecutionPolicy.seed()`` to pin the
 serial seed-stream reference path instead.
 """
 
@@ -109,10 +109,10 @@ def run_algorithm(
     policy:
         :class:`repro.runtime.ExecutionPolicy` applied to every stage —
         sampler engines and sharding (copied into the parameter objects,
-        which are never mutated), the auto-built Monte-Carlo oracle, the
-        independent evaluator, and the oracle-setting greedy loops.
+        which are never mutated), the auto-built Monte-Carlo oracle and the
+        independent evaluator.
         ``None`` resolves to :meth:`ExecutionPolicy.fast` — SUBSIM RR
-        generation, batched MC and greedy engines, all cores; pass
+        generation, batched MC engine, all cores; pass
         :meth:`ExecutionPolicy.seed` for the serial seed-stream escape
         hatch.  A ``policy=`` that disagrees with a parameter object's own
         ``params.policy`` raises :class:`~repro.exceptions.PolicyError` (a
@@ -165,11 +165,11 @@ def run_algorithm(
             if oracle is None:
                 raise ExperimentError(f"{algorithm} requires a revenue oracle")
             if algorithm == "RM_with_Oracle":
-                result = rm_with_oracle(instance, oracle, policy=effective)
+                result = rm_with_oracle(instance, oracle)
             elif algorithm == "CA-Greedy":
-                result = ca_greedy(instance, oracle, policy=effective)
+                result = ca_greedy(instance, oracle)
             else:
-                result = cs_greedy(instance, oracle, policy=effective)
+                result = cs_greedy(instance, oracle)
         else:
             raise ExperimentError(
                 f"unknown algorithm {algorithm!r}; expected one of "

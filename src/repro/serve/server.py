@@ -639,9 +639,7 @@ class AllocationServer:
             else self._instance.with_scaled_budgets(float(budget_scale))
         )
         oracle = RRSetOracle(self._store.collection, self._store.gamma)
-        result = rm_with_oracle(
-            instance, oracle, tau=float(tau), policy=self._policy
-        )
+        result = rm_with_oracle(instance, oracle, tau=float(tau))
         return {
             "allocation": {
                 str(advertiser): sorted(int(node) for node in seeds)

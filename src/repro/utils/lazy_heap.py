@@ -1,4 +1,4 @@
-"""Lazy-greedy (CELF-style) priority queues — scalar and batched.
+"""Lazy-greedy (CELF-style) priority queue over int64-encoded elements.
 
 The greedy algorithms in the paper repeatedly select the element with the
 largest marginal gain (or marginal rate) of a monotone submodular function.
@@ -7,159 +7,33 @@ stored in a max-heap is still an upper bound; re-evaluating only the current
 top element ("lazy evaluation", Leskovec et al. 2007 / CELF) gives exactly the
 same selections as the eager arg-max while avoiding most re-evaluations.
 
-Two implementations of this pattern are provided:
+:class:`BatchedLazyGreedy` is the one heap every greedy loop runs on.  Stale
+entries are popped in surfacing order up to ``batch_size`` at a time and
+refreshed with **one** call to a vectorized ``batch_evaluate`` (for the
+RR-set consumers, a single numpy gather against the ``(h, n)`` marginal
+matrix of :class:`~repro.rrsets.collection.CoverageState`) instead of K
+Python callback round-trips.  Bulk insertion (``push_array``) likewise
+evaluates the whole candidate set in one call and heapifies once.
 
-* :class:`LazyMarginalHeap` — the reference scalar heap over hashable keys.
-  Every insert and every stale refresh is one Python callback; this is the
-  seed implementation and stays the default in every consumer.
-* :class:`BatchedLazyGreedy` — the vectorized variant over int64-encoded
-  elements.  Stale entries are popped in surfacing order up to ``batch_size``
-  at a time and refreshed with **one** call to a vectorized ``batch_evaluate``
-  (for the RR-set consumers, a single numpy gather against the
-  ``(h, n)`` marginal matrix of
-  :class:`~repro.rrsets.collection.CoverageState`) instead of K Python
-  callback round-trips.  Bulk insertion (``push_array``) likewise evaluates
-  the whole candidate set in one call and heapifies once.
-
-The batched heap *replays the scalar heap's schedule exactly*: speculative
+The heap *replays the textbook scalar heap's schedule exactly*: speculative
 batch evaluations are cached, but each refresh is committed one entry at a
 time in surfacing order with the same counter sequence the scalar heap would
-assign, so ties between equal values resolve identically and the two heaps
-produce bit-identical pop sequences — provided ``batch_evaluate`` is pure
-(values only change together with ``advance_round``, which every greedy
-consumer guarantees by advancing immediately after each accepted seed) and
-elements are inserted in the same order.
-``tests/test_greedy_engine_equivalence.py`` pins this across all consumers.
+assign, so ties between equal values resolve identically and the pop
+sequence is the scalar one — provided ``batch_evaluate`` is pure (values
+only change together with ``advance_round``, which every greedy consumer
+guarantees by advancing immediately after each accepted seed) and elements
+are inserted in the same order.  At ``batch_size=1`` nothing is speculated:
+every evaluation is one the scalar heap performs, in the same order.
+``tests/test_greedy_engine_equivalence.py`` pins this against the scalar
+reference heap kept in ``tests/reference/lazy_heap.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Generic,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-
-KeyT = TypeVar("KeyT", bound=Hashable)
-
-
-@dataclass(order=True)
-class HeapEntry(Generic[KeyT]):
-    """Internal heap record; ordered by ``(-value, tiebreak)`` for a max-heap."""
-
-    sort_key: Tuple[float, int]
-    key: KeyT = field(compare=False)
-    value: float = field(compare=False)
-    round_evaluated: int = field(compare=False)
-
-
-class LazyMarginalHeap(Generic[KeyT]):
-    """Max-heap with lazy re-evaluation of marginal values.
-
-    Parameters
-    ----------
-    evaluate:
-        Callable returning the *current* marginal value of a key.  It is
-        invoked at insert time and whenever a stale top-of-heap entry needs to
-        be refreshed.
-    """
-
-    def __init__(self, evaluate: Callable[[KeyT], float]):
-        self._evaluate = evaluate
-        self._heap: list[HeapEntry[KeyT]] = []
-        self._removed: set[KeyT] = set()
-        self._round = 0
-        self._counter = itertools.count()
-        self._members: Dict[KeyT, float] = {}
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, key: KeyT) -> bool:
-        return key in self._members
-
-    def push(self, key: KeyT, value: Optional[float] = None) -> None:
-        """Insert ``key``; if ``value`` is None it is computed via ``evaluate``."""
-        if key in self._removed:
-            self._removed.discard(key)
-        actual = self._evaluate(key) if value is None else value
-        entry = HeapEntry(
-            sort_key=(-actual, next(self._counter)),
-            key=key,
-            value=actual,
-            round_evaluated=self._round,
-        )
-        heapq.heappush(self._heap, entry)
-        self._members[key] = actual
-
-    def push_many(self, keys: Iterable[KeyT]) -> None:
-        """Insert every key in ``keys`` with freshly evaluated values."""
-        for key in keys:
-            self.push(key)
-
-    def remove(self, key: KeyT) -> None:
-        """Mark ``key`` as removed; it will be skipped when it surfaces."""
-        if key in self._members:
-            del self._members[key]
-            self._removed.add(key)
-
-    def advance_round(self) -> None:
-        """Signal that the underlying solution changed.
-
-        Entries evaluated before this call are considered stale and will be
-        re-evaluated when they reach the top of the heap.
-        """
-        self._round += 1
-
-    def pop_best(self) -> Optional[Tuple[KeyT, float]]:
-        """Pop the key with the largest *current* marginal value.
-
-        Returns ``None`` when the heap is empty.  The popped key is removed
-        from the heap; callers re-insert it if they decide not to use it.
-        """
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            key = entry.key
-            if key in self._removed:
-                self._removed.discard(key)
-                continue
-            if key not in self._members:
-                continue
-            if entry.round_evaluated == self._round:
-                del self._members[key]
-                return key, entry.value
-            # Stale: re-evaluate and push back.
-            fresh = self._evaluate(key)
-            refreshed = HeapEntry(
-                sort_key=(-fresh, next(self._counter)),
-                key=key,
-                value=fresh,
-                round_evaluated=self._round,
-            )
-            heapq.heappush(self._heap, refreshed)
-            self._members[key] = fresh
-        return None
-
-    def peek_best(self) -> Optional[Tuple[KeyT, float]]:
-        """Return (but do not remove) the key with the largest current value."""
-        best = self.pop_best()
-        if best is None:
-            return None
-        key, value = best
-        self.push(key, value)
-        return key, value
 
 
 class BatchedLazyGreedy:
@@ -174,29 +48,25 @@ class BatchedLazyGreedy:
         flat ``(h·n,)`` marginal matrix, so refreshing a batch of K stale
         candidates costs one numpy call instead of K Python round-trips.
     batch_size:
-        Maximum number of stale entries refreshed per evaluation call.
+        Maximum number of stale entries refreshed per evaluation call.  Use
+        1 when evaluations are not pure gathers (an oracle whose queries draw
+        from a shared RNG): the heap then evaluates exactly the entries the
+        scalar schedule refreshes, in the same order, and nothing else.
 
-    Semantics are *bit-identical* to :class:`LazyMarginalHeap` (same
-    insertion order, pure ``batch_evaluate``): ``advance_round`` marks every
-    entry stale, ``pop_best`` returns the element with the largest current
-    value, popped keys leave the heap, and exact value ties resolve in the
-    same order.  Identity is achieved by separating *speculation* from
-    *commitment*: when a stale entry surfaces, the next ``batch_size`` stale
-    candidates in surfacing order are evaluated in one vectorized call and
-    cached, but each refresh is committed one entry at a time exactly when
-    (and only when) the scalar heap would perform it, drawing the same
-    counter sequence.  Speculative values the scalar schedule never demands
-    are simply discarded — evaluation is a pure gather, so over-evaluating
-    costs vector width, not correctness.
+    ``advance_round`` marks every entry stale, ``pop_best`` returns the
+    element with the largest current value, popped keys leave the heap, and
+    exact value ties resolve by insertion / refresh order.  Batching is
+    achieved by separating *speculation* from *commitment*: when a stale
+    entry surfaces, the next ``batch_size`` stale candidates in surfacing
+    order are evaluated in one vectorized call and cached, but each refresh
+    is committed one entry at a time exactly when (and only when) the scalar
+    heap would perform it, drawing the same counter sequence.  Speculative
+    values the scalar schedule never demands are simply discarded.
 
     The purity contract: values returned by ``batch_evaluate`` may only
     change together with an ``advance_round`` call (every greedy consumer
     advances immediately after each accepted seed, so this holds).  The
     speculation cache is invalidated by ``advance_round``.
-
-    The instrumentation counters ``evaluation_calls`` /
-    ``elements_evaluated`` record how much callback traffic the batching
-    saved; the benchmark reports them.
     """
 
     def __init__(
@@ -212,20 +82,14 @@ class BatchedLazyGreedy:
         # tuple comparison gives the (-value, counter) max-heap order without
         # dataclass overhead on the hot path.
         self._heap: List[Tuple[float, int, int, int]] = []
-        self._removed: Set[int] = set()
         self._members: Dict[int, float] = {}
         # Speculative evaluations for the current round: key -> value.
         self._pending: Dict[int, float] = {}
         self._round = 0
         self._next_counter = 0
-        self.evaluation_calls = 0
-        self.elements_evaluated = 0
 
     def __len__(self) -> int:
         return len(self._members)
-
-    def __contains__(self, key: int) -> bool:
-        return int(key) in self._members
 
     def _evaluate(self, keys: np.ndarray) -> np.ndarray:
         values = np.asarray(self._batch_evaluate(keys), dtype=np.float64)
@@ -233,8 +97,6 @@ class BatchedLazyGreedy:
             raise ValueError(
                 f"batch_evaluate returned shape {values.shape} for {keys.shape} keys"
             )
-        self.evaluation_calls += 1
-        self.elements_evaluated += int(keys.size)
         return values
 
     def push_array(
@@ -244,7 +106,7 @@ class BatchedLazyGreedy:
 
         When the heap is empty this heapifies once instead of pushing one
         entry at a time.  Ties between equal values resolve by insertion
-        order, exactly like repeated :meth:`LazyMarginalHeap.push` calls.
+        order, exactly like one scalar push per key.
         """
         key_array = np.ascontiguousarray(keys, dtype=np.int64)
         if key_array.size == 0:
@@ -255,7 +117,6 @@ class BatchedLazyGreedy:
             values = np.asarray(values, dtype=np.float64)
         key_list = key_array.tolist()
         value_list = values.tolist()
-        self._removed.difference_update(key_list)
         base = self._next_counter
         self._next_counter = base + len(key_list)
         entries = [
@@ -269,13 +130,6 @@ class BatchedLazyGreedy:
             self._heap = entries
             heapq.heapify(self._heap)
         self._members.update(zip(key_list, value_list))
-
-    def remove(self, key: int) -> None:
-        """Mark ``key`` as removed; it will be skipped when it surfaces."""
-        key = int(key)
-        if key in self._members:
-            del self._members[key]
-            self._removed.add(key)
 
     def advance_round(self) -> None:
         """Signal that the underlying solution changed (stales every entry)."""
@@ -296,16 +150,13 @@ class BatchedLazyGreedy:
         """
         heap = self._heap
         heappop, heappush = heapq.heappop, heapq.heappush
-        removed, members, pending = self._removed, self._members, self._pending
+        members, pending = self._members, self._pending
         current_round = self._round
         batch = [key]
         lookahead: List[Tuple[float, int, int, int]] = []
         while heap and len(batch) < self._batch_size:
             entry = heappop(heap)
             other = entry[2]
-            if other in removed:
-                removed.discard(other)
-                continue
             if other not in members:
                 continue  # superseded duplicate entry
             lookahead.append(entry)
@@ -323,19 +174,15 @@ class BatchedLazyGreedy:
     def pop_best(self) -> Optional[Tuple[int, float]]:
         """Pop the key with the largest current marginal value (or ``None``).
 
-        Pop/skip/refresh decisions replay :meth:`LazyMarginalHeap.pop_best`
-        step for step; only the *evaluations* are batched (see
-        :meth:`_speculate`).
+        Pop/skip/refresh decisions are the scalar lazy heap's, step for step;
+        only the *evaluations* are batched (see :meth:`_speculate`).
         """
         heap = self._heap
         heappop, heappush = heapq.heappop, heapq.heappush
-        removed, members, pending = self._removed, self._members, self._pending
+        members, pending = self._members, self._pending
         while heap:
             entry = heappop(heap)
             key = entry[2]
-            if key in removed:
-                removed.discard(key)
-                continue
             if key not in members:
                 continue  # superseded duplicate entry
             if entry[3] == self._round:
@@ -349,12 +196,3 @@ class BatchedLazyGreedy:
             self._next_counter += 1
             members[key] = value
         return None
-
-    def peek_best(self) -> Optional[Tuple[int, float]]:
-        """Return (but do not remove) the key with the largest current value."""
-        best = self.pop_best()
-        if best is None:
-            return None
-        key, value = best
-        self.push_array(np.array([key], dtype=np.int64), np.array([value]))
-        return key, value

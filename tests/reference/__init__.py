@@ -1,0 +1,1 @@
+"""Reference implementations the library's fast paths are checked against."""

@@ -1,33 +1,46 @@
-"""Scalar-vs-batched equivalence proofs for the lazy-greedy coverage engine.
+"""Equivalence proofs for the lazy-greedy element engines.
 
-The batched engine (:class:`repro.utils.lazy_heap.BatchedLazyGreedy` driving
-:mod:`repro.core.batched_greedy`) claims *bit-identical selections* to the
-seed scalar path: it replays the scalar heap's refresh schedule and
-tie-breaking exactly, only the evaluations are vectorized.  These tests pin
-that claim at the heap level (identical pop sequences under scripted value
-decay) and end to end through every greedy consumer — Algorithm 1,
-ThresholdGreedy + Fill, RM_with_Oracle, CA/CS-Greedy, the TI baselines and
-the RMA sampling solver — plus the silent fallback for non-RR-set oracles.
+Every greedy consumer has one selection loop on
+:class:`repro.utils.lazy_heap.BatchedLazyGreedy`; the element evaluator is
+picked from the oracle (:mod:`repro.core.batched_greedy`): coverage gathers
+for an RR-set oracle, per-element oracle callbacks for every other oracle.
+These tests pin
+
+* the heap against the scalar reference heap
+  (``tests/reference/lazy_heap.py``): identical pop sequences under
+  scripted value decay, at batch sizes 1, 4 and 64;
+* the two engines against each other on the same RR-set collection, through
+  every consumer — Algorithm 1, ThresholdGreedy + Fill, ``gamma_max``,
+  RM_with_Oracle, CA/CS-Greedy.  ``CallbackView``
+  (``tests/reference/oracle_view.py``) hides the :class:`RRSetOracle` type,
+  which forces the callback engine onto the same revenue function;
+* the callback engine on a Monte-Carlo oracle against a scalar reference
+  loop: same allocation *and* same number of oracle queries.
+
+The sampling solvers and the TI baselines are pinned end to end by
+``tests/data/preflip_golden.json``; Monte-Carlo allocations of every
+consumer by ``tests/data/mc_oracle_golden.json``.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from reference.lazy_heap import LazyMarginalHeap
+from reference.oracle_view import CallbackView
 from repro.advertising.advertiser import Advertiser
 from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import MonteCarloOracle, RRSetOracle
 from repro.baselines.ca_greedy import ca_greedy
 from repro.baselines.cs_greedy import cs_greedy
-from repro.baselines.ti_carm import ti_carm
-from repro.baselines.ti_common import TIParameters
-from repro.baselines.ti_csrm import ti_csrm
-from repro.core.batched_greedy import CoverageGreedyEngine, supports_batched_greedy
-from repro.core.greedy import greedy_single_advertiser
+from repro.core.batched_greedy import (
+    CoverageGreedyEngine,
+    OracleGreedyEngine,
+    engine_for,
+    supports_batched_greedy,
+)
+from repro.core.greedy import greedy_single_advertiser, marginal_rate
 from repro.core.oracle_solver import rm_with_oracle
-from repro.core.sampling_solver import SamplingParameters, one_batch_rm, rm_without_oracle
 from repro.core.search import gamma_max
 from repro.core.threshold_greedy import fill, threshold_greedy
 from repro.diffusion.models import (
@@ -39,14 +52,9 @@ from repro.graph.generators import preferential_attachment_digraph
 from repro.rrsets.collection import RRCollection
 from repro.rrsets.generator import RRSetGenerator
 from repro.runtime import ExecutionPolicy
-from repro.utils.lazy_heap import BatchedLazyGreedy, LazyMarginalHeap
+from repro.utils.lazy_heap import BatchedLazyGreedy
 
 MODELS = [IndependentCascadeModel, WeightedCascadeModel, TrivalencyModel]
-
-# Pin everything but the greedy engine so each pair differs in exactly one
-# dimension: the scalar heap vs the batched coverage engine.
-SCALAR = ExecutionPolicy.seed()
-BATCHED = ExecutionPolicy(greedy_engine="batched")
 
 
 @pytest.fixture(scope="module")
@@ -124,47 +132,23 @@ def test_batched_heap_pop_sequence_matches_scalar(seed, batch_size):
     assert len(popped) == len(keys)
 
 
-def test_batched_heap_remove_and_membership():
-    values = {k: float(k % 5) for k in range(20)}
-    heap = BatchedLazyGreedy(
-        lambda keys: np.array([values[int(k)] for k in keys]), batch_size=4
-    )
-    heap.push_array(np.arange(20, dtype=np.int64))
-    assert len(heap) == 20 and 7 in heap
-    heap.remove(7)
-    assert len(heap) == 19 and 7 not in heap
-    seen = set()
-    while True:
-        popped = heap.pop_best()
-        if popped is None:
-            break
-        seen.add(popped[0])
-    assert 7 not in seen and len(seen) == 19
-
-
 def test_batched_heap_batches_evaluations():
     """Stale refreshes are amortised: far fewer calls than elements."""
     values = {k: 100.0 - k for k in range(256)}
-    heap = BatchedLazyGreedy(
-        lambda keys: np.array([values[int(k)] for k in keys]), batch_size=64
-    )
+    traffic = {"calls": 0, "elements": 0}
+
+    def evaluate(keys):
+        traffic["calls"] += 1
+        traffic["elements"] += len(keys)
+        return np.array([values[int(k)] for k in keys])
+
+    heap = BatchedLazyGreedy(evaluate, batch_size=64)
     heap.push_array(np.arange(256, dtype=np.int64))
     for _ in range(32):
         heap.advance_round()  # stale everything, forcing refresh traffic
         heap.pop_best()
-    assert heap.evaluation_calls < heap.elements_evaluated
-    assert heap.elements_evaluated >= 256  # the initial bulk insert alone
-
-
-def test_batched_heap_peek_does_not_consume():
-    heap = BatchedLazyGreedy(
-        lambda keys: np.asarray(keys, dtype=np.float64), batch_size=8
-    )
-    heap.push_array(np.arange(5, dtype=np.int64))
-    assert heap.peek_best() == (4, 4.0)
-    assert len(heap) == 5
-    assert heap.pop_best() == (4, 4.0)
-    assert len(heap) == 4
+    assert traffic["calls"] < traffic["elements"]
+    assert traffic["elements"] >= 256  # the initial bulk insert alone
 
 
 def test_batched_heap_rejects_bad_batch_size():
@@ -173,7 +157,7 @@ def test_batched_heap_rejects_bad_batch_size():
 
 
 # --------------------------------------------------------------------- #
-# consumer-level identity (RR-set oracle)
+# consumer-level identity: coverage engine vs callback engine
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("model_cls", MODELS, ids=lambda m: m.__name__)
 @pytest.mark.parametrize("seed", [5, 11])
@@ -181,11 +165,11 @@ def test_cs_and_ca_greedy_bit_identical(graph, model_cls, seed):
     instance, oracle = _instance_and_oracle(graph, model_cls, seed=seed)
     h = instance.num_advertisers
     for solver in (cs_greedy, ca_greedy):
-        scalar = solver(instance, oracle, policy=SCALAR)
-        batched = solver(instance, oracle, policy=BATCHED)
-        assert _allocations_equal(scalar.allocation, batched.allocation, h)
-        assert scalar.revenue == batched.revenue
-        assert scalar.depleted_budgets == batched.depleted_budgets
+        coverage = solver(instance, oracle)
+        callback = solver(instance, CallbackView(oracle))
+        assert _allocations_equal(coverage.allocation, callback.allocation, h)
+        assert coverage.revenue == callback.revenue
+        assert coverage.depleted_budgets == callback.depleted_budgets
 
 
 @pytest.mark.parametrize("seed", [5, 11, 42])
@@ -193,30 +177,26 @@ def test_greedy_single_advertiser_bit_identical(graph, seed):
     instance, oracle = _instance_and_oracle(graph, seed=seed)
     for advertiser in range(instance.num_advertisers):
         assert greedy_single_advertiser(
-            instance, oracle, advertiser, policy=SCALAR
-        ) == greedy_single_advertiser(
-            instance, oracle, advertiser, policy=BATCHED
-        )
+            instance, oracle, advertiser
+        ) == greedy_single_advertiser(instance, CallbackView(oracle), advertiser)
 
 
 def test_greedy_single_advertiser_candidate_subset(graph):
     instance, oracle = _instance_and_oracle(graph)
     candidates = list(range(0, graph.num_nodes, 3))
     assert greedy_single_advertiser(
-        instance, oracle, 1, candidates=candidates, policy=SCALAR
-    ) == greedy_single_advertiser(
-        instance, oracle, 1, candidates=candidates, policy=BATCHED
-    )
+        instance, oracle, 1, candidates=candidates
+    ) == greedy_single_advertiser(instance, CallbackView(oracle), 1, candidates=candidates)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 10.0])
 def test_threshold_greedy_bit_identical(graph, gamma):
     instance, oracle = _instance_and_oracle(graph)
     h = instance.num_advertisers
-    scalar, b_scalar = threshold_greedy(instance, oracle, gamma, policy=SCALAR)
-    batched, b_batched = threshold_greedy(instance, oracle, gamma, policy=BATCHED)
-    assert b_scalar == b_batched
-    assert _allocations_equal(scalar, batched, h)
+    coverage, b_coverage = threshold_greedy(instance, oracle, gamma)
+    callback, b_callback = threshold_greedy(instance, CallbackView(oracle), gamma)
+    assert b_coverage == b_callback
+    assert _allocations_equal(coverage, callback, h)
 
 
 def test_fill_bit_identical_from_partial_allocation(graph):
@@ -225,30 +205,29 @@ def test_fill_bit_identical_from_partial_allocation(graph):
     start = Allocation(h)
     for advertiser, node in [(0, 3), (0, 17), (1, 25), (2, 4)]:
         start.assign(node, advertiser)
-    scalar = fill(instance, oracle, start, policy=SCALAR)
-    batched = fill(instance, oracle, start, policy=BATCHED)
-    assert _allocations_equal(scalar, batched, h)
+    coverage = fill(instance, oracle, start)
+    callback = fill(instance, CallbackView(oracle), start)
+    assert _allocations_equal(coverage, callback, h)
 
 
 @pytest.mark.parametrize("h", [1, 3, 4])
 def test_rm_with_oracle_bit_identical(graph, h):
     """Covers all three dispatch arms of Algorithm 5 (h=1, h≤3, h≥4)."""
     instance, oracle = _instance_and_oracle(graph, h=h)
-    scalar = rm_with_oracle(instance, oracle, policy=SCALAR)
-    batched = rm_with_oracle(instance, oracle, policy=BATCHED)
-    assert _allocations_equal(scalar.allocation, batched.allocation, h)
-    assert scalar.revenue == batched.revenue
-    assert scalar.metadata == batched.metadata
+    coverage = rm_with_oracle(instance, oracle)
+    callback = rm_with_oracle(instance, CallbackView(oracle))
+    assert _allocations_equal(coverage.allocation, callback.allocation, h)
+    assert coverage.revenue == callback.revenue
+    assert coverage.metadata == callback.metadata
 
 
 def test_gamma_max_bit_identical(graph):
     instance, oracle = _instance_and_oracle(graph)
-    scalar = gamma_max(instance, oracle, policy=SCALAR)
-    batched = gamma_max(instance, oracle, policy=BATCHED)
-    assert scalar == batched
+    view = CallbackView(oracle)
+    assert gamma_max(instance, oracle) == gamma_max(instance, view)
     subset = list(range(0, graph.num_nodes, 7))
-    assert gamma_max(instance, oracle, candidates=subset, policy=SCALAR) == gamma_max(
-        instance, oracle, candidates=subset, policy=BATCHED
+    assert gamma_max(instance, oracle, candidates=subset) == gamma_max(
+        instance, view, candidates=subset
     )
 
 
@@ -265,6 +244,9 @@ def test_coverage_engine_matches_oracle_marginals(graph):
         assert engine.gain(advertiser, node) == expected
         key = np.array([engine.encode(node, advertiser)], dtype=np.int64)
         assert engine.gains(key)[0] == expected
+        assert engine.rates(key)[0] == marginal_rate(
+            expected, instance.cost(advertiser, node)
+        )
         seeds[advertiser].add(node)
         engine.add_seed(advertiser, node)
     for advertiser, assigned in seeds.items():
@@ -274,73 +256,61 @@ def test_coverage_engine_matches_oracle_marginals(graph):
 
 
 # --------------------------------------------------------------------- #
-# solver-level identity (sampling setting)
+# Monte-Carlo oracle: the callback engine replays the scalar query schedule
 # --------------------------------------------------------------------- #
-def _dataset_instance():
-    from repro.datasets.registry import build_dataset
-
-    data = build_dataset(
-        "lastfm_like",
-        num_advertisers=4,
-        incentive="linear",
-        alpha=0.1,
-        scale=0.3,
-        seed=3,
-        singleton_rr_sets=200,
-    )
-    return data.instance
-
-
-def test_rma_solver_bit_identical():
-    instance = _dataset_instance()
+def _reference_cs_greedy(instance, oracle):
+    """CS-Greedy as a scalar CELF loop over ``(node, advertiser)`` tuples."""
     h = instance.num_advertisers
-    params = SamplingParameters(
-        epsilon=0.3, initial_rr_sets=512, max_rr_sets=2048, seed=9, policy=SCALAR
-    )
-    scalar = rm_without_oracle(instance, params)
-    batched = rm_without_oracle(instance, replace(params, policy=BATCHED))
-    assert _allocations_equal(scalar.allocation, batched.allocation, h)
-    assert scalar.revenue == batched.revenue
-    assert scalar.metadata == batched.metadata
+    budgets = instance.budgets()
+    allocation = Allocation(h)
+    revenue = {i: 0.0 for i in range(h)}
+    cost = {i: 0.0 for i in range(h)}
+    closed = set()
+
+    def evaluate(element):
+        node, advertiser = element
+        gain = oracle.marginal_revenue(advertiser, node, allocation.seeds(advertiser))
+        return marginal_rate(gain, instance.cost(advertiser, node))
+
+    heap = LazyMarginalHeap(evaluate)
+    for advertiser in range(h):
+        for node in range(instance.num_nodes):
+            singleton = oracle.revenue(advertiser, {node})
+            if instance.cost(advertiser, node) + singleton <= budgets[advertiser]:
+                heap.push((node, advertiser))
+    while len(heap) and len(closed) < h:
+        (node, advertiser), _rate = heap.pop_best()
+        if advertiser in closed or allocation.is_assigned(node):
+            continue
+        gain = oracle.marginal_revenue(advertiser, node, allocation.seeds(advertiser))
+        node_cost = instance.cost(advertiser, node)
+        if cost[advertiser] + node_cost + revenue[advertiser] + gain <= budgets[advertiser]:
+            allocation.assign(node, advertiser)
+            revenue[advertiser] += gain
+            cost[advertiser] += node_cost
+            heap.advance_round()
+        else:
+            closed.add(advertiser)
+    return allocation
 
 
-def test_one_batch_rm_bit_identical():
-    instance = _dataset_instance()
-    h = instance.num_advertisers
-    params = SamplingParameters(epsilon=0.3, seed=9, policy=SCALAR)
-    scalar = one_batch_rm(instance, 800, params)
-    batched = one_batch_rm(instance, 800, replace(params, policy=BATCHED))
-    assert _allocations_equal(scalar.allocation, batched.allocation, h)
-    assert scalar.revenue == batched.revenue
-
-
-@pytest.mark.parametrize("solver", [ti_carm, ti_csrm], ids=["ti_carm", "ti_csrm"])
-def test_ti_baselines_bit_identical(solver):
-    instance = _dataset_instance()
-    h = instance.num_advertisers
-    params = TIParameters(
-        epsilon=0.2, pilot_size=64, max_rr_sets_per_advertiser=512, seed=7, policy=SCALAR
-    )
-    scalar = solver(instance, params)
-    batched = solver(instance, replace(params, policy=BATCHED))
-    assert _allocations_equal(scalar.allocation, batched.allocation, h)
-    assert scalar.revenue == batched.revenue
-    assert scalar.metadata == batched.metadata
-
-
-# --------------------------------------------------------------------- #
-# fallback: non-RR-set oracles keep the seed scalar path
-# --------------------------------------------------------------------- #
-def test_batched_policy_falls_back_for_monte_carlo_oracle():
+def test_monte_carlo_oracle_gets_callback_engine():
+    """Batch-1 callback engine ⇒ the scalar loop's allocation and query count."""
     tiny = preferential_attachment_digraph(30, out_degree=2, seed=2)
     model = WeightedCascadeModel(tiny)
     advertisers = [Advertiser(budget=25.0, cpe=1.0) for _ in range(2)]
-    costs = np.full((2, tiny.num_nodes), 1.5)
-    instance = RMInstance(tiny, model, advertisers, costs)
-    results = []
-    for policy in (SCALAR, BATCHED):
-        oracle = MonteCarloOracle(instance, num_simulations=40, seed=11, policy=SCALAR)
-        assert not supports_batched_greedy(oracle, instance)
-        results.append(cs_greedy(instance, oracle, policy=policy))
-    assert _allocations_equal(results[0].allocation, results[1].allocation, 2)
-    assert results[0].revenue == results[1].revenue
+    for seed in (11, 12, 13):
+        costs = np.random.default_rng(seed).uniform(1.0, 2.0, size=(2, tiny.num_nodes))
+        instance = RMInstance(tiny, model, advertisers, costs)
+        oracles = [
+            MonteCarloOracle(
+                instance, num_simulations=40, seed=seed, policy=ExecutionPolicy.seed()
+            )
+            for _ in range(2)
+        ]
+        engine = engine_for(instance, oracles[0])
+        assert isinstance(engine, OracleGreedyEngine) and engine.batch_size == 1
+        expected = _reference_cs_greedy(instance, oracles[0])
+        result = cs_greedy(instance, oracles[1])
+        assert _allocations_equal(expected, result.allocation, 2)
+        assert oracles[1].query_count == oracles[0].query_count

@@ -84,7 +84,6 @@ class TestExecutionPolicy:
         policy = ExecutionPolicy.seed()
         assert policy.rr_engine == "legacy"
         assert policy.mc_engine == "legacy"
-        assert policy.greedy_engine == "scalar"
         assert policy.n_jobs is None
         assert policy.rng_compat is True
 
@@ -92,7 +91,6 @@ class TestExecutionPolicy:
         policy = ExecutionPolicy.fast(n_jobs=4)
         assert policy.rr_engine == "subsim"
         assert policy.mc_engine == "batched"
-        assert policy.greedy_engine == "batched"
         assert policy.n_jobs == 4
         assert policy.rng_compat is False
 
@@ -117,18 +115,21 @@ class TestExecutionPolicy:
         with pytest.raises(PolicyError):
             ExecutionPolicy(mc_engine="warp")
         with pytest.raises(PolicyError):
-            ExecutionPolicy(greedy_engine="warp")
-        with pytest.raises(PolicyError):
             ExecutionPolicy(n_jobs=0)
         with pytest.raises(PolicyError):
             ExecutionPolicy(mc_batch_size=0)
+
+    def test_greedy_engine_field_is_gone(self):
+        # The greedy loops pick their element engine from the oracle.
+        for value in ("scalar", "batched"):
+            with pytest.raises(TypeError):
+                ExecutionPolicy(greedy_engine=value)
+        assert "greedy" not in ExecutionPolicy.fast().describe()
 
     def test_rng_compat_is_derived_and_validated(self):
         assert ExecutionPolicy(n_jobs=1).rng_compat is True
         assert ExecutionPolicy(n_jobs=2).rng_compat is False
         assert ExecutionPolicy(rr_engine="subsim").rng_compat is False
-        # The batched greedy engine is bit-identical, so it keeps the guarantee.
-        assert ExecutionPolicy(greedy_engine="batched").rng_compat is True
         with pytest.raises(PolicyError, match="rng_compat"):
             ExecutionPolicy(mc_engine="batched", rng_compat=True)
 

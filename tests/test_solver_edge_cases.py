@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.advertising.advertiser import Advertiser
+from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import ExactOracle, MonteCarloOracle, RRSetOracle
 from repro.baselines.ca_greedy import ca_greedy
@@ -20,8 +21,10 @@ from repro.baselines.ti_csrm import ti_csrm
 from repro.core.greedy import greedy_single_advertiser
 from repro.core.oracle_solver import rm_with_oracle
 from repro.core.sampling_solver import SamplingParameters, rm_without_oracle
-from repro.core.threshold_greedy import threshold_greedy
+from repro.core.search import gamma_max
+from repro.core.threshold_greedy import fill, threshold_greedy
 from repro.diffusion.models import IndependentCascadeModel
+from repro.exceptions import ProblemDefinitionError
 from repro.graph.builders import from_edge_list
 from repro.rrsets.uniform import UniformRRSampler
 
@@ -152,3 +155,37 @@ class TestHeterogeneousCpe:
             TIParameters(epsilon=0.3, pilot_size=32, max_rr_sets_per_advertiser=128, seed=2),
         )
         assert result.revenue >= 0.0
+
+
+#: Every greedy consumer that takes ``candidates=``; each gets the pool last.
+CANDIDATE_CONSUMERS = {
+    "greedy_single_advertiser": lambda inst, oracle, pool: greedy_single_advertiser(
+        inst, oracle, 0, candidates=pool
+    ),
+    "threshold_greedy": lambda inst, oracle, pool: threshold_greedy(
+        inst, oracle, 0.5, candidates=pool
+    ),
+    "fill": lambda inst, oracle, pool: fill(
+        inst, oracle, Allocation(inst.num_advertisers), candidates=pool
+    ),
+    "gamma_max": lambda inst, oracle, pool: gamma_max(inst, oracle, candidates=pool),
+    "ca_greedy": lambda inst, oracle, pool: ca_greedy(inst, oracle, candidates=pool),
+    "cs_greedy": lambda inst, oracle, pool: cs_greedy(inst, oracle, candidates=pool),
+    "rm_with_oracle": lambda inst, oracle, pool: rm_with_oracle(
+        inst, oracle, candidates=pool
+    ),
+}
+
+
+class TestCandidateValidation:
+    """Out-of-range ``candidates=`` raise one error on every oracle."""
+
+    @pytest.mark.parametrize("pool", [[0, 4], [-1, 1]], ids=["past_end", "negative"])
+    @pytest.mark.parametrize("oracle_kind", ["rr", "mc"])
+    @pytest.mark.parametrize("consumer", list(CANDIDATE_CONSUMERS))
+    def test_out_of_range_candidate_raises_problem_definition_error(
+        self, consumer, oracle_kind, pool, probabilistic_instance, rr_oracle, mc_oracle
+    ):
+        oracle = rr_oracle if oracle_kind == "rr" else mc_oracle
+        with pytest.raises(ProblemDefinitionError, match="out of range"):
+            CANDIDATE_CONSUMERS[consumer](probabilistic_instance, oracle, pool)

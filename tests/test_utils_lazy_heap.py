@@ -1,4 +1,4 @@
-"""Tests for the lazy-greedy heap, including equivalence with an eager arg-max."""
+"""Tests for the scalar reference lazy-greedy heap, incl. equivalence with an eager arg-max."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.lazy_heap import LazyMarginalHeap
+from reference.lazy_heap import LazyMarginalHeap
 
 
 class TestBasicOperations:
