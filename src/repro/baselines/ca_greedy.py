@@ -11,7 +11,7 @@ as bad as ``O(1/n)``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -20,22 +20,17 @@ from repro.advertising.oracle import RevenueOracle
 from repro.baselines.common import budgeted_greedy
 from repro.core.result import SolverResult
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime import ExecutionPolicy
-
 
 def ca_greedy(
     instance: RMInstance,
     oracle: RevenueOracle,
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> SolverResult:
     """Run CA-Greedy and return a :class:`SolverResult`.
 
     The element engine is picked from ``oracle`` (coverage gathers for an
-    RR-set oracle, one oracle query per element otherwise); ``policy`` is
-    accepted like on every other entry point and does not affect selection.
+    RR-set oracle, one oracle query per element otherwise).
     """
     return budgeted_greedy(
         instance, oracle, budgets, candidates, rank_by_rate=False, algorithm="CA-Greedy"

@@ -9,7 +9,7 @@ main theoretical gap the paper closes.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -18,22 +18,17 @@ from repro.advertising.oracle import RevenueOracle
 from repro.baselines.common import budgeted_greedy
 from repro.core.result import SolverResult
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime import ExecutionPolicy
-
 
 def cs_greedy(
     instance: RMInstance,
     oracle: RevenueOracle,
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> SolverResult:
     """Run CS-Greedy and return a :class:`SolverResult`.
 
     The element engine is picked from ``oracle`` (coverage gathers for an
-    RR-set oracle, one oracle query per element otherwise); ``policy`` is
-    accepted like on every other entry point and does not affect selection.
+    RR-set oracle, one oracle query per element otherwise).
     """
     return budgeted_greedy(
         instance, oracle, budgets, candidates, rank_by_rate=True, algorithm="CS-Greedy"

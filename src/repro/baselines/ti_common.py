@@ -29,9 +29,10 @@ from repro.baselines.tim import (
     pilot_pool,
     tim_sample_size,
 )
+from repro.core.batched_greedy import PerAdvertiserCoverageEngine
 from repro.core.result import SolverResult
 from repro.exceptions import SolverError
-from repro.rrsets.collection import CoverageState, RRCollection
+from repro.rrsets.collection import RRCollection
 from repro.rrsets.generator import RRSetGenerator, SubsimRRGenerator
 from repro.runtime import ExecutionPolicy, Runtime, current_runtime, resolve_policy
 from repro.utils.lazy_heap import BatchedLazyGreedy
@@ -160,9 +161,11 @@ def _run_allocation(
     """The TI allocation loop, ranked by gain (CARM) or rate (CSRM).
 
     The per-advertiser pools are merged into one advertiser-tagged
-    collection, so a :class:`CoverageState` tracks every pool's uncovered
-    counts in its flat ``(h·n,)`` marginal matrix and a batch of stale
-    candidates is refreshed with one gather (``scale_flat · marginal[keys]``).
+    collection driven by a :class:`PerAdvertiserCoverageEngine` (the shared
+    element encoding, rate transform and singleton-feasibility filter of the
+    other greedy loops, with one revenue scale per pool).  Only the accept
+    test is TI's own: it adds the advertiser's RR-size penalty to the
+    projected revenue.
     """
     h = instance.num_advertisers
     n = instance.num_nodes
@@ -170,28 +173,12 @@ def _run_allocation(
     for advertiser in range(h):
         for rr_set in pools[advertiser].rr_sets:
             combined.add(rr_set, advertiser)
-    state = CoverageState(combined)
-    marginal_flat = state.marginal_matrix().ravel()
-    cost_flat = instance.cost_matrix().ravel()
     scales = np.array([pools[i].scale for i in range(h)], dtype=np.float64)
-    scale_flat = np.repeat(scales, n)
-
-    def batch_values(keys: np.ndarray) -> np.ndarray:
-        gains = scale_flat[keys] * marginal_flat[keys]
-        if not cost_sensitive:
-            return gains
-        positive = gains > 0.0
-        rates = np.zeros(gains.shape, dtype=np.float64)
-        np.divide(gains, cost_flat[keys] + gains, out=rates, where=positive)
-        return rates
-
-    # Singleton feasibility, advertiser-major element order: singleton
-    # revenue is scale × membership count.
-    membership_flat = combined.membership_counts().ravel()
-    all_keys = np.arange(h * n, dtype=np.int64)
-    feasible = cost_flat + scale_flat * membership_flat <= np.repeat(budgets, n)
-    heap = BatchedLazyGreedy(batch_values)
-    heap.push_array(all_keys[feasible])
+    engine = PerAdvertiserCoverageEngine(instance, combined, scales)
+    heap = BatchedLazyGreedy(
+        engine.rates if cost_sensitive else engine.gains, batch_size=engine.batch_size
+    )
+    heap.push_array(engine.feasible_element_keys(budgets))
 
     allocation = Allocation(h)
     cost = {i: 0.0 for i in range(h)}
@@ -204,22 +191,18 @@ def _run_allocation(
         advertiser, node = divmod(key, n)
         if advertiser in closed or allocation.is_assigned(node) or value <= 0.0:
             continue
-        gain = scales[advertiser] * int(marginal_flat[key])
+        gain = engine.gain(advertiser, node)
         node_cost = instance.cost(advertiser, node)
-        revenue = scales[advertiser] * state.covered_count_for(advertiser)
-        projected_revenue = revenue + gain + penalties[advertiser]
+        projected_revenue = engine.revenue_for(advertiser) + gain + penalties[advertiser]
         if cost[advertiser] + node_cost + projected_revenue <= budgets[advertiser]:
             allocation.assign(node, advertiser)
-            state.add_seed(advertiser, node)
+            engine.add_seed(advertiser, node)
             cost[advertiser] += node_cost
             heap.advance_round()
         else:
             closed.add(advertiser)
 
-    per_advertiser = {
-        advertiser: scales[advertiser] * state.covered_count_for(advertiser)
-        for advertiser in range(h)
-    }
+    per_advertiser = {advertiser: engine.revenue_for(advertiser) for advertiser in range(h)}
     return allocation, closed, per_advertiser
 
 

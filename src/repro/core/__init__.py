@@ -5,7 +5,6 @@ from repro.core.batched_greedy import (
     CoverageGreedyEngine,
     OracleGreedyEngine,
     engine_for,
-    supports_batched_greedy,
 )
 from repro.core.greedy import greedy_single_advertiser
 from repro.core.threshold_greedy import threshold_greedy, fill
@@ -32,7 +31,6 @@ __all__ = [
     "CoverageGreedyEngine",
     "OracleGreedyEngine",
     "engine_for",
-    "supports_batched_greedy",
     "greedy_single_advertiser",
     "threshold_greedy",
     "fill",

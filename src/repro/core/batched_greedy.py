@@ -1,7 +1,7 @@
 """Element engines for the lazy-greedy loops — one loop, two evaluators.
 
 Every greedy consumer in the repo (Algorithms 1-3, ``gamma_max``,
-CA/CS-Greedy) ranks ``(node, advertiser)`` elements by marginal gain or
+CA/CS-Greedy, the TI allocation) ranks ``(node, advertiser)`` elements by marginal gain or
 marginal rate.  Each consumer has exactly one selection loop, written over
 int64 element keys and driven by
 :class:`~repro.utils.lazy_heap.BatchedLazyGreedy`; what differs between
@@ -22,6 +22,8 @@ module's job:
   the rate-ranked consumers).  Gains are ``scale × integer-count`` exactly
   like the oracle's own answers, so accept/reject decisions see the same
   floats.  Runs on heap batches of :data:`DEFAULT_BATCH_SIZE`.
+  :class:`PerAdvertiserCoverageEngine` is the same engine with one scale
+  per advertiser, for the TI baselines' separately sized RR pools.
 * :class:`OracleGreedyEngine` — every other oracle (Monte-Carlo, exact): one
   ``oracle.revenue`` / ``oracle.marginal_revenue`` call per element, in key
   order.  A :class:`~repro.advertising.oracle.MonteCarloOracle` draws every
@@ -43,22 +45,10 @@ import numpy as np
 from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import RevenueOracle, RRSetOracle
 from repro.exceptions import ProblemDefinitionError
-from repro.rrsets.collection import CoverageState
+from repro.rrsets.collection import CoverageState, RRCollection
 
 #: default number of stale candidates refreshed per vectorized gather
 DEFAULT_BATCH_SIZE = 64
-
-
-def supports_batched_greedy(oracle: RevenueOracle, instance: RMInstance) -> bool:
-    """Whether the coverage engine can drive this oracle.
-
-    True only for an :class:`RRSetOracle` covering at least the instance's
-    advertisers; other oracles have no coverage matrix to gather from.
-    """
-    return (
-        isinstance(oracle, RRSetOracle)
-        and oracle.num_advertisers >= instance.num_advertisers
-    )
 
 
 class _ElementEngine:
@@ -184,27 +174,26 @@ class _ElementEngine:
 
 
 class CoverageGreedyEngine(_ElementEngine):
-    """Vectorized marginal evaluation over an RR-set oracle's coverage state.
+    """Vectorized marginal evaluation over an RR-set collection's coverage state.
 
     Parameters
     ----------
     instance:
         Supplies the ``(h, n)`` seeding-cost matrix and budgets.
-    oracle:
-        The RR-set oracle whose collection backs the coverage state.  The
-        engine builds its own :class:`CoverageState`, so the oracle's caches
-        are left untouched and remain usable for final revenue queries.
+    collection:
+        The advertiser-tagged RR-set collection backing the coverage state;
+        it must cover the instance's advertisers.  The engine builds its own
+        :class:`CoverageState`, so an oracle over the same collection keeps
+        its caches and remains usable for final revenue queries.
+    scale:
+        Revenue per covered RR set (:attr:`RRSetOracle.scale`).
     """
 
-    def __init__(self, instance: RMInstance, oracle: RRSetOracle):
-        if not supports_batched_greedy(oracle, instance):
-            raise ProblemDefinitionError(
-                "CoverageGreedyEngine requires an RRSetOracle covering the instance"
-            )
+    def __init__(self, instance: RMInstance, collection: RRCollection, scale: float):
         super().__init__(instance)
-        self._scale = oracle.scale
-        self._singleton_flat = oracle.collection.membership_counts().ravel()
-        self._state = CoverageState(oracle.collection)
+        self._scale = scale
+        self._singleton_flat = collection.membership_counts().ravel()
+        self._state = CoverageState(collection)
         # Flat view sharing the underlying buffer: marginal updates made by
         # add_seed are visible through _marginal_flat with no re-gather.
         self._marginal_flat = self._state.marginal_matrix().ravel()
@@ -230,6 +219,35 @@ class CoverageGreedyEngine(_ElementEngine):
     def revenue_for(self, advertiser: int) -> float:
         """``scale × covered count`` for one advertiser's accumulated seeds."""
         return self._scale * self._state.covered_count_for(advertiser)
+
+
+class PerAdvertiserCoverageEngine(CoverageGreedyEngine):
+    """:class:`CoverageGreedyEngine` with one revenue scale per advertiser.
+
+    The TI baselines draw a separately sized RR pool per advertiser and
+    merge the pools into one tagged collection, so advertiser ``i``'s
+    revenue per covered set is ``scales[i]``.  Gains are
+    ``scales[i] × integer-count``, as with a single scale.
+    """
+
+    def __init__(self, instance: RMInstance, collection: RRCollection, scales: np.ndarray):
+        super().__init__(instance, collection, 1.0)
+        self._scales = np.asarray(scales, dtype=np.float64)
+        self._scale_flat = np.repeat(self._scales, self._num_nodes)
+
+    def gains(self, keys: np.ndarray) -> np.ndarray:
+        return self._scale_flat[keys] * self._marginal_flat[keys]
+
+    def singleton_gains(self, keys: np.ndarray) -> np.ndarray:
+        return self._scale_flat[keys] * self._singleton_flat[keys]
+
+    def gain(self, advertiser: int, node: int) -> float:
+        return self._scales[advertiser] * int(
+            self._marginal_flat[advertiser * self._num_nodes + int(node)]
+        )
+
+    def revenue_for(self, advertiser: int) -> float:
+        return self._scales[advertiser] * self._state.covered_count_for(advertiser)
 
 
 class OracleGreedyEngine(_ElementEngine):
@@ -276,7 +294,14 @@ class OracleGreedyEngine(_ElementEngine):
 
 
 def engine_for(instance: RMInstance, oracle: RevenueOracle) -> _ElementEngine:
-    """The element engine for ``oracle``: coverage gathers or oracle callbacks."""
-    if supports_batched_greedy(oracle, instance):
-        return CoverageGreedyEngine(instance, oracle)
+    """The element engine for ``oracle``: coverage gathers or oracle callbacks.
+
+    Coverage gathers need an :class:`RRSetOracle` covering at least the
+    instance's advertisers; every other oracle gets per-element callbacks.
+    """
+    if (
+        isinstance(oracle, RRSetOracle)
+        and oracle.num_advertisers >= instance.num_advertisers
+    ):
+        return CoverageGreedyEngine(instance, oracle.collection, oracle.scale)
     return OracleGreedyEngine(instance, oracle)

@@ -13,7 +13,7 @@ budget is stored separately as the "stopple node" ``D_i``, and the better of
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Iterable, Optional, Set, Tuple
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from repro.advertising.oracle import RevenueOracle
 from repro.core.batched_greedy import engine_for
 from repro.exceptions import SolverError
 from repro.utils.lazy_heap import BatchedLazyGreedy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime import ExecutionPolicy
 
 
 def marginal_rate(marginal_gain: float, cost: float) -> float:
@@ -44,7 +41,6 @@ def greedy_single_advertiser(
     advertiser: int,
     candidates: Optional[Iterable[int]] = None,
     budget: Optional[float] = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> Tuple[Set[int], Set[int], Set[int]]:
     """Run ``Greedy(U, i)`` and return ``(S_i*, S_i, D_i)``.
 
@@ -64,9 +60,6 @@ def greedy_single_advertiser(
     budget:
         Budget override ``B_i`` (the sampling solver passes the relaxed
         ``(1 + ϱ/2)·B_i`` here).
-    policy:
-        Accepted like on every other entry point; greedy selection has one
-        engine per oracle type, so the policy does not affect it.
 
     Returns
     -------

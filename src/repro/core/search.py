@@ -10,7 +10,7 @@ network-independent approximation ratios of the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, TYPE_CHECKING
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -22,16 +22,12 @@ from repro.core.result import SearchByproducts
 from repro.core.threshold_greedy import threshold_greedy
 from repro.exceptions import SolverError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime import ExecutionPolicy
-
 
 def gamma_max(
     instance: RMInstance,
     oracle: RevenueOracle,
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> float:
     """``γ_max = max{B_j · ζ_j(v | ∅) : v ∈ V, j ∈ [h]}`` (Eq. 6).
 
@@ -39,8 +35,7 @@ def gamma_max(
     never needs to look beyond ``(1+τ)·γ_max``.  The ``h·n`` singleton rates
     come from the oracle's element engine, one advertiser at a time in
     candidate order (for an RR-set oracle, one vectorized pass over the
-    membership-count matrix).  ``policy`` is accepted like on every other
-    entry point and does not affect the result.
+    membership-count matrix).
     """
     budget_array = (
         np.asarray(budgets, dtype=np.float64) if budgets is not None else instance.budgets()
@@ -65,7 +60,6 @@ def search_threshold(
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
     max_iterations: int = 64,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> Tuple[Allocation, float, SearchByproducts, dict]:
     """Algorithm 4 — returns ``(best allocation, its revenue, byproducts, diagnostics)``.
 
@@ -81,10 +75,6 @@ def search_threshold(
         Safety cap on the number of ThresholdGreedy invocations; the paper's
         stopping rule terminates in ``O(log(h·γ_max / min_i cpe(i)))``
         iterations, the cap only guards against degenerate inputs.
-    policy:
-        Accepted like on every other entry point; the greedy loops pick
-        their element engine from the oracle, so the policy does not
-        affect the search.
     """
     if not 0.0 < tau < 1.0:
         raise SolverError("tau must lie in (0, 1)")

@@ -15,7 +15,7 @@ Algorithm 4 exploits.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 import numpy as np
 
@@ -26,9 +26,6 @@ from repro.core.batched_greedy import engine_for
 from repro.core.greedy import greedy_single_advertiser, marginal_rate
 from repro.exceptions import SolverError
 from repro.utils.lazy_heap import BatchedLazyGreedy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime import ExecutionPolicy
 
 
 class _GreedyState:
@@ -75,7 +72,6 @@ def threshold_greedy(
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
     run_fill: bool = True,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> Tuple[Allocation, int]:
     """Algorithm 2 — returns ``(allocation S⃗*, b)``.
 
@@ -91,11 +87,6 @@ def threshold_greedy(
     run_fill:
         Whether to run the final ``Fill`` pass (Line 12).  Disabled only by
         ablation benchmarks.
-    policy:
-        Accepted like on every other entry point; greedy selection has one
-        engine per oracle type (coverage gathers for an RR-set oracle, one
-        oracle query per element otherwise), so the policy does not
-        affect it.
     """
     if gamma < 0:
         raise SolverError("gamma must be non-negative")
@@ -213,15 +204,13 @@ def fill(
     allocation: Allocation,
     budgets: Optional[np.ndarray] = None,
     candidates: Optional[Iterable[int]] = None,
-    policy: Optional["ExecutionPolicy"] = None,
 ) -> Allocation:
     """Algorithm 3 — greedily spend leftover budget by maximum marginal rate.
 
     Returns a new allocation extending ``allocation`` (the input is copied,
     not mutated).  The element engine's seed state is replayed to the
     incoming allocation first, so element gains are marginals w.r.t. the
-    seeds Fill starts from.  ``policy`` is accepted like on every other
-    entry point and does not affect selection.
+    seeds Fill starts from.
     """
     h = instance.num_advertisers
     budget_array = (

@@ -37,7 +37,6 @@ from repro.core.batched_greedy import (
     CoverageGreedyEngine,
     OracleGreedyEngine,
     engine_for,
-    supports_batched_greedy,
 )
 from repro.core.greedy import greedy_single_advertiser, marginal_rate
 from repro.core.oracle_solver import rm_with_oracle
@@ -234,8 +233,8 @@ def test_gamma_max_bit_identical(graph):
 def test_coverage_engine_matches_oracle_marginals(graph):
     """Engine gains/rates equal the oracle's floats while seeds accumulate."""
     instance, oracle = _instance_and_oracle(graph)
-    engine = CoverageGreedyEngine(instance, oracle)
-    assert supports_batched_greedy(oracle, instance)
+    engine = engine_for(instance, oracle)
+    assert isinstance(engine, CoverageGreedyEngine)
     rng = np.random.default_rng(2)
     seeds: dict[int, set[int]] = {i: set() for i in range(instance.num_advertisers)}
     for step, node in enumerate(rng.permutation(graph.num_nodes)[:40].tolist()):

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from reference.oracle_view import CallbackView
 from repro.advertising.oracle import MonteCarloOracle, RRSetOracle
 from repro.baselines.ca_greedy import ca_greedy
 from repro.baselines.cs_greedy import cs_greedy
@@ -30,6 +31,7 @@ from repro.baselines.ti_csrm import ti_csrm
 from repro.baselines.ti_common import TIParameters
 from repro.core.greedy import greedy_single_advertiser
 from repro.core.oracle_solver import rm_with_oracle
+from repro.core.search import gamma_max, search_threshold
 from repro.core.sampling_solver import (
     SamplingParameters,
     one_batch_rm,
@@ -109,24 +111,21 @@ class TestSeedPolicyMatchesPreflipGolden:
         assert _fingerprint(ti_csrm(dataset.instance, _ti())) == golden["TI-CSRM"]
 
     def test_cs_greedy(self, dataset, golden, rr_oracle):
-        result = cs_greedy(dataset.instance, rr_oracle, policy=SEED)
+        result = cs_greedy(dataset.instance, rr_oracle)
         assert _fingerprint(result) == golden["CS-Greedy"]
 
     def test_ca_greedy(self, dataset, golden, rr_oracle):
-        result = ca_greedy(dataset.instance, rr_oracle, policy=SEED)
+        result = ca_greedy(dataset.instance, rr_oracle)
         assert _fingerprint(result) == golden["CA-Greedy"]
 
     def test_greedy_engines_agree_on_golden_allocations(self, dataset, golden, rr_oracle):
-        """The batched greedy engine is bit-identical, so even the fast
-        policy reproduces the golden *allocations* when the oracle's RR-set
-        collection is pinned to the seed sampler."""
-        fast = ExecutionPolicy.fast()
-        assert _fingerprint(cs_greedy(dataset.instance, rr_oracle, policy=fast)) == golden[
-            "CS-Greedy"
-        ]
-        assert _fingerprint(ca_greedy(dataset.instance, rr_oracle, policy=fast)) == golden[
-            "CA-Greedy"
-        ]
+        """The per-element callback engine (what Monte-Carlo and exact
+        oracles get) reproduces the golden results too: the same RR-set
+        oracle seen through ``CallbackView`` answers with the same floats,
+        and the heap replays the same schedule at batch size 1."""
+        view = CallbackView(rr_oracle)
+        assert _fingerprint(cs_greedy(dataset.instance, view)) == golden["CS-Greedy"]
+        assert _fingerprint(ca_greedy(dataset.instance, view)) == golden["CA-Greedy"]
 
 
 # --------------------------------------------------------------------------- #
@@ -179,6 +178,23 @@ class TestLegacyKwargsRaiseTypeError:
             cs_greedy(dataset.instance, rr_oracle, use_batched_greedy=True)
         with pytest.raises(TypeError):
             ca_greedy(dataset.instance, rr_oracle, use_batched_greedy=True)
+
+    def test_greedy_consumers_take_no_policy(self, dataset, rr_oracle):
+        # The element engine follows the oracle; no policy knob is accepted.
+        instance = dataset.instance
+        calls = (
+            lambda **kw: greedy_single_advertiser(instance, rr_oracle, 0, **kw),
+            lambda **kw: threshold_greedy(instance, rr_oracle, 1.0, **kw),
+            lambda **kw: fill(instance, rr_oracle, object(), **kw),
+            lambda **kw: gamma_max(instance, rr_oracle, **kw),
+            lambda **kw: search_threshold(instance, rr_oracle, 0.1, 1, **kw),
+            lambda **kw: rm_with_oracle(instance, rr_oracle, **kw),
+            lambda **kw: cs_greedy(instance, rr_oracle, **kw),
+            lambda **kw: ca_greedy(instance, rr_oracle, **kw),
+        )
+        for call in calls:
+            with pytest.raises(TypeError):
+                call(policy=SEED)
 
     def test_uniform_sampler(self, dataset):
         instance = dataset.instance

@@ -219,10 +219,11 @@ class TestDefaultResolution:
         )
 
     def test_oracle_solver_no_args_matches_explicit_fast(self, dataset, rr_oracle):
-        _same_result(
-            rm_with_oracle(dataset.instance, rr_oracle),
-            rm_with_oracle(dataset.instance, rr_oracle, policy=ExecutionPolicy.fast()),
-        )
+        # rm_with_oracle takes no policy (its element engine follows the
+        # oracle), so an ambient fast runtime must not change its result.
+        with Runtime(ExecutionPolicy.fast()):
+            under_fast = rm_with_oracle(dataset.instance, rr_oracle)
+        _same_result(rm_with_oracle(dataset.instance, rr_oracle), under_fast)
 
     def test_uniform_sampler_defaults_to_subsim(self, dataset):
         instance = dataset.instance

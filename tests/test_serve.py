@@ -184,7 +184,7 @@ class TestQueries:
         reply = server.request({"op": "allocate", "tau": 0.1})
         assert reply["ok"] is True
         oracle = RRSetOracle(server.store.collection, server.store.gamma)
-        direct = rm_with_oracle(instance, oracle, tau=0.1, policy=INLINE)
+        direct = rm_with_oracle(instance, oracle, tau=0.1)
         expected = {
             str(advertiser): sorted(int(node) for node in seeds)
             for advertiser, seeds in direct.allocation.items()
