@@ -4,9 +4,10 @@ Times the greedy-allocation consumers — CS-Greedy, CA-Greedy and
 ThresholdGreedy + Fill — on a Weighted-Cascade synthetic graph with an
 RR-set oracle, once per element engine (see :mod:`repro.core.batched_greedy`):
 
-* ``coverage`` — the RR-set oracle itself, so the consumers refresh stale
-  CELF candidates with vectorized gathers through the ``(h, n)`` coverage
-  marginal matrix;
+* ``coverage`` — the RR-set oracle itself, so the consumers insert their
+  candidates with one vectorized gather through the ``(h, n)`` coverage
+  marginal matrix and refresh each stale CELF candidate with one scalar
+  lookup into it;
 * ``callback`` — the same oracle behind ``CallbackView``
   (``tests/reference/oracle_view.py``), a plain ``RevenueOracle`` wrapper,
   so the consumers fall back to one ``oracle.marginal_revenue`` call per
@@ -20,7 +21,7 @@ Run directly::
 The full run writes ``BENCH_greedy_engine.json`` next to the repo root
 (override with ``--output``) and fails if the aggregate ``greedy_coverage``
 speedup (callback time / coverage time) drops below 3x; ``--fast`` applies a
-smaller CI gate.  Both engines see the same floats and the heap replays the
+smaller CI gate.  Both engines see the same floats and the heap runs the
 same schedule, so every section also asserts the two engines returned
 *identical allocations* (``tests/test_greedy_engine_equivalence.py`` pins
 this per consumer).

@@ -3,7 +3,7 @@
 Times the two Monte-Carlo estimators the library exposes — ``monte_carlo_spread``
 over a fixed seed set and per-node ``singleton_spreads_monte_carlo`` — for the
 batched level-synchronous engine (:mod:`repro.diffusion.engine`) against the
-sequential reference preserved in :mod:`repro.diffusion.legacy`, on a
+sequential reference preserved in ``tests/reference/diffusion_legacy.py``, on a
 Weighted-Cascade synthetic graph.
 
 Run directly::
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -34,13 +35,15 @@ from repro.diffusion.engine import (
     simulate_cascades_batch,
     singleton_spreads_monte_carlo as batched_singleton_spreads,
 )
-from repro.diffusion.legacy import (
-    legacy_monte_carlo_spread,
-    legacy_singleton_spreads_monte_carlo,
-)
 from repro.diffusion.models import WeightedCascadeModel
 from repro.graph.generators import preferential_attachment_digraph
 from repro.utils.resources import peak_rss_mib
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference.diffusion_legacy import (  # noqa: E402
+    legacy_monte_carlo_spread,
+    legacy_singleton_spreads_monte_carlo,
+)
 
 FULL = {
     "num_nodes": 20_000,

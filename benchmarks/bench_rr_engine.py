@@ -3,7 +3,7 @@
 Times the three stages the RMA solver's wall-clock is made of — RR-set
 generation, tagged-collection build, and greedy maximum coverage — for the
 vectorized engine against the reference (seed) implementation preserved in
-:mod:`repro.rrsets.legacy`, on a Weighted-Cascade synthetic graph.
+``tests/reference/rrsets_legacy.py``, on a Weighted-Cascade synthetic graph.
 
 Run directly::
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -31,13 +32,15 @@ from repro.diffusion.models import WeightedCascadeModel
 from repro.graph.generators import preferential_attachment_digraph
 from repro.rrsets.collection import CoverageState, RRCollection
 from repro.rrsets.generator import RRSetGenerator, SubsimRRGenerator
-from repro.rrsets.legacy import (
+from repro.utils.resources import peak_rss_mib
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference.rrsets_legacy import (  # noqa: E402
     LegacyCoverageState,
     LegacyRRCollection,
     LegacyRRSetGenerator,
     LegacySubsimRRGenerator,
 )
-from repro.utils.resources import peak_rss_mib
 
 FULL = {"num_nodes": 20_000, "out_degree": 5, "rr_sets": 3000, "greedy_seeds": 50}
 FAST = {"num_nodes": 2_000, "out_degree": 5, "rr_sets": 600, "greedy_seeds": 20}

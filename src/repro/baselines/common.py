@@ -62,20 +62,16 @@ def budgeted_allocation(
     h = instance.num_advertisers
     n = instance.num_nodes
     engine = engine_for(instance, oracle)
-    heap = BatchedLazyGreedy(
-        engine.rates if rank_by_rate else engine.gains, batch_size=engine.batch_size
-    )
-    heap.push_array(engine.feasible_element_keys(budgets, candidates))
+    heap = BatchedLazyGreedy(engine.key_rate if rank_by_rate else engine.key_gain)
+    keys = engine.feasible_element_keys(budgets, candidates)
+    heap.push_array(keys, engine.rates(keys) if rank_by_rate else engine.gains(keys))
 
     allocation = Allocation(h)
     revenue = {i: 0.0 for i in range(h)}
     cost = {i: 0.0 for i in range(h)}
     closed: Set[int] = set()
     while len(heap) and len(closed) < h:
-        popped = heap.pop_best()
-        if popped is None:
-            break
-        key, _value = popped
+        key, _value = heap.pop_best()
         advertiser, node = divmod(key, n)
         if advertiser in closed or allocation.is_assigned(node):
             continue

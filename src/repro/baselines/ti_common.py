@@ -175,19 +175,15 @@ def _run_allocation(
             combined.add(rr_set, advertiser)
     scales = np.array([pools[i].scale for i in range(h)], dtype=np.float64)
     engine = PerAdvertiserCoverageEngine(instance, combined, scales)
-    heap = BatchedLazyGreedy(
-        engine.rates if cost_sensitive else engine.gains, batch_size=engine.batch_size
-    )
-    heap.push_array(engine.feasible_element_keys(budgets))
+    heap = BatchedLazyGreedy(engine.key_rate if cost_sensitive else engine.key_gain)
+    keys = engine.feasible_element_keys(budgets)
+    heap.push_array(keys, engine.rates(keys) if cost_sensitive else engine.gains(keys))
 
     allocation = Allocation(h)
     cost = {i: 0.0 for i in range(h)}
     closed: set[int] = set()
     while len(heap) and len(closed) < h:
-        popped = heap.pop_best()
-        if popped is None:
-            break
-        key, value = popped
+        key, value = heap.pop_best()
         advertiser, node = divmod(key, n)
         if advertiser in closed or allocation.is_assigned(node) or value <= 0.0:
             continue

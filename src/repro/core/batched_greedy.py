@@ -5,8 +5,7 @@ CA/CS-Greedy, the TI allocation) ranks ``(node, advertiser)`` elements by margin
 marginal rate.  Each consumer has exactly one selection loop, written over
 int64 element keys and driven by
 :class:`~repro.utils.lazy_heap.BatchedLazyGreedy`; what differs between
-oracles is only how a batch of elements is evaluated.  That is this
-module's job:
+oracles is only how elements are evaluated.  That is this module's job:
 
 * **Element encoding** — an element ``(node, advertiser)`` is the int64 key
   ``advertiser · n + node``, i.e. the *flat index* into both the raveled
@@ -17,23 +16,24 @@ module's job:
   :class:`~repro.advertising.oracle.RRSetOracle` the marginals are pure
   maximum-coverage counts.  The engine owns a fresh
   :class:`~repro.rrsets.collection.CoverageState` over the oracle's
-  collection, so a batch of stale candidates is refreshed with **one**
-  gather ``scale · marginal[keys]`` (plus one vectorized rate transform for
-  the rate-ranked consumers).  Gains are ``scale × integer-count`` exactly
-  like the oracle's own answers, so accept/reject decisions see the same
-  floats.  Runs on heap batches of :data:`DEFAULT_BATCH_SIZE`.
+  collection, so the initial candidate set is evaluated with **one** gather
+  ``scale · marginal[keys]`` (plus one vectorized rate transform for the
+  rate-ranked consumers) and each stale refresh is one scalar lookup.
+  Gains are ``scale × integer-count`` exactly like the oracle's own
+  answers, so accept/reject decisions see the same floats.
   :class:`PerAdvertiserCoverageEngine` is the same engine with one scale
   per advertiser, for the TI baselines' separately sized RR pools.
 * :class:`OracleGreedyEngine` — every other oracle (Monte-Carlo, exact): one
   ``oracle.revenue`` / ``oracle.marginal_revenue`` call per element, in key
   order.  A :class:`~repro.advertising.oracle.MonteCarloOracle` draws every
-  fresh query from one shared RNG, so this engine must never speculate: it
-  runs on heap batches of 1, where the heap evaluates exactly the elements
-  the textbook scalar CELF schedule refreshes, in the same order.
+  fresh query from one shared RNG; the heap evaluates exactly the elements
+  the textbook scalar CELF schedule refreshes, in the same order, so the
+  oracle sees the scalar query sequence.
 
-Both engines expose the same methods (:meth:`gains`, :meth:`rates`,
-:meth:`gain`, :meth:`feasible_element_keys`, :meth:`add_seed`, ...) and a
-``batch_size``; :func:`engine_for` picks one from the oracle.
+Both engines expose the same methods (batch :meth:`gains` / :meth:`rates`
+for bulk insertion, scalar :meth:`key_gain` / :meth:`key_rate` for heap
+refreshes, :meth:`gain`, :meth:`feasible_element_keys`, :meth:`add_seed`,
+...); :func:`engine_for` picks one from the oracle.
 """
 
 from __future__ import annotations
@@ -47,19 +47,13 @@ from repro.advertising.oracle import RevenueOracle, RRSetOracle
 from repro.exceptions import ProblemDefinitionError
 from repro.rrsets.collection import CoverageState, RRCollection
 
-#: default number of stale candidates refreshed per vectorized gather
-DEFAULT_BATCH_SIZE = 64
-
 
 class _ElementEngine:
     """Shared element encoding, rate transform and feasibility filters.
 
-    Subclasses supply :meth:`gains`, :meth:`singleton_gains`, :meth:`gain`
-    and :meth:`add_seed`, plus the heap ``batch_size`` their evaluator
-    tolerates.
+    Subclasses supply :meth:`gains`, :meth:`key_gain`,
+    :meth:`singleton_gains` and :meth:`add_seed`.
     """
-
-    batch_size = DEFAULT_BATCH_SIZE
 
     def __init__(self, instance: RMInstance):
         self._instance = instance
@@ -80,6 +74,10 @@ class _ElementEngine:
     # ------------------------------------------------------------------ #
     def gains(self, keys: np.ndarray) -> np.ndarray:
         """Marginal revenues ``π_i(u | S_i)`` for a batch of element keys."""
+        raise NotImplementedError
+
+    def key_gain(self, key: int) -> float:
+        """Marginal revenue of one element key (a heap refresh)."""
         raise NotImplementedError
 
     def singleton_gains(self, keys: np.ndarray) -> np.ndarray:
@@ -105,9 +103,12 @@ class _ElementEngine:
         """Singleton rates ``ζ_i(u | ∅)`` for a batch of element keys."""
         return self._to_rates(self.singleton_gains(keys), keys)
 
-    def node_rates(self, advertiser: int, nodes: np.ndarray) -> np.ndarray:
-        """Marginal rates of ``nodes`` for a single advertiser."""
-        return self.rates(advertiser * self._num_nodes + nodes)
+    def key_rate(self, key: int) -> float:
+        """Marginal rate of one element key, the same float :meth:`rates` gives."""
+        gain = self.key_gain(key)
+        if gain <= 0.0:
+            return 0.0
+        return gain / (self._cost_flat.item(key) + gain)
 
     # ------------------------------------------------------------------ #
     # feasibility initialisation
@@ -166,7 +167,7 @@ class _ElementEngine:
     # ------------------------------------------------------------------ #
     def gain(self, advertiser: int, node: int) -> float:
         """Scalar marginal revenue — the same float the oracle would return."""
-        raise NotImplementedError
+        return self.key_gain(advertiser * self._num_nodes + int(node))
 
     def add_seed(self, advertiser: int, node: int) -> None:
         """Assign ``node`` to ``advertiser`` in the engine's own seed state."""
@@ -201,15 +202,13 @@ class CoverageGreedyEngine(_ElementEngine):
     def gains(self, keys: np.ndarray) -> np.ndarray:
         return self._scale * self._marginal_flat[keys]
 
+    def key_gain(self, key: int) -> float:
+        return self._scale * self._marginal_flat.item(key)
+
     def singleton_gains(self, keys: np.ndarray) -> np.ndarray:
         # Singleton revenue is scale × membership count: the initial
         # marginal matrix, whatever seeds have been added since.
         return self._scale * self._singleton_flat[keys]
-
-    def gain(self, advertiser: int, node: int) -> float:
-        return self._scale * int(
-            self._marginal_flat[advertiser * self._num_nodes + int(node)]
-        )
 
     def add_seed(self, advertiser: int, node: int) -> None:
         # Only RR-sets tagged ``advertiser`` are covered (tags partition the
@@ -238,13 +237,11 @@ class PerAdvertiserCoverageEngine(CoverageGreedyEngine):
     def gains(self, keys: np.ndarray) -> np.ndarray:
         return self._scale_flat[keys] * self._marginal_flat[keys]
 
+    def key_gain(self, key: int) -> float:
+        return self._scale_flat.item(key) * self._marginal_flat.item(key)
+
     def singleton_gains(self, keys: np.ndarray) -> np.ndarray:
         return self._scale_flat[keys] * self._singleton_flat[keys]
-
-    def gain(self, advertiser: int, node: int) -> float:
-        return self._scales[advertiser] * int(
-            self._marginal_flat[advertiser * self._num_nodes + int(node)]
-        )
 
     def revenue_for(self, advertiser: int) -> float:
         return self._scales[advertiser] * self._state.covered_count_for(advertiser)
@@ -256,14 +253,11 @@ class OracleGreedyEngine(_ElementEngine):
     Every evaluation is one oracle query — ``revenue(i, {u})`` for
     singletons, ``marginal_revenue(i, u, S_i)`` otherwise — issued in key
     order, against seed sets the engine accumulates through
-    :meth:`add_seed`.  ``batch_size`` is 1, so a
-    :class:`~repro.utils.lazy_heap.BatchedLazyGreedy` driven by this engine
-    queries exactly the elements a scalar CELF loop would, in the same
-    order; a shared-RNG Monte-Carlo oracle therefore returns the same
-    estimates to both.
+    :meth:`add_seed`.  A :class:`~repro.utils.lazy_heap.BatchedLazyGreedy`
+    driven by this engine queries exactly the elements a scalar CELF loop
+    would, in the same order; a shared-RNG Monte-Carlo oracle therefore
+    returns the same estimates to both.
     """
-
-    batch_size = 1
 
     def __init__(self, instance: RMInstance, oracle: RevenueOracle):
         super().__init__(instance)
@@ -273,10 +267,11 @@ class OracleGreedyEngine(_ElementEngine):
         }
 
     def gains(self, keys: np.ndarray) -> np.ndarray:
-        n = self._num_nodes
-        return np.array(
-            [self.gain(*divmod(key, n)) for key in keys.tolist()], dtype=np.float64
-        )
+        return np.array([self.key_gain(key) for key in keys.tolist()], dtype=np.float64)
+
+    def key_gain(self, key: int) -> float:
+        advertiser, node = divmod(key, self._num_nodes)
+        return self._oracle.marginal_revenue(advertiser, node, self._seeds[advertiser])
 
     def singleton_gains(self, keys: np.ndarray) -> np.ndarray:
         n = self._num_nodes
@@ -285,9 +280,6 @@ class OracleGreedyEngine(_ElementEngine):
             [self._oracle.revenue(advertiser, {node}) for advertiser, node in pairs],
             dtype=np.float64,
         )
-
-    def gain(self, advertiser: int, node: int) -> float:
-        return self._oracle.marginal_revenue(advertiser, node, self._seeds[advertiser])
 
     def add_seed(self, advertiser: int, node: int) -> None:
         self._seeds[advertiser].add(int(node))

@@ -92,18 +92,16 @@ def greedy_single_advertiser(
     # Revenue of the current S_i, updated incrementally to avoid re-evaluating.
     current_revenue = 0.0
 
-    heap = BatchedLazyGreedy(
-        lambda nodes: engine.node_rates(advertiser, nodes), batch_size=engine.batch_size
+    offset = engine.encode(0, advertiser)
+    heap = BatchedLazyGreedy(engine.key_rate)
+    keys = offset + np.fromiter(
+        feasible_candidates, dtype=np.int64, count=len(feasible_candidates)
     )
-    heap.push_array(
-        np.fromiter(feasible_candidates, dtype=np.int64, count=len(feasible_candidates))
-    )
+    heap.push_array(keys, engine.rates(keys))
 
     while len(heap) and not stopple:
-        popped = heap.pop_best()
-        if popped is None:
-            break
-        node, _rate = popped
+        key, _rate = heap.pop_best()
+        node = key - offset
         gain = engine.gain(advertiser, node)
         cost_with_node = instance.cost_of_set(advertiser, selected | {node})
         revenue_with_node = current_revenue + gain

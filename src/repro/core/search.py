@@ -87,6 +87,9 @@ def search_threshold(
     budget_array = (
         np.asarray(budgets, dtype=np.float64) if budgets is not None else instance.budgets()
     )
+    if candidates is not None:
+        # Read by gamma_max and by every ThresholdGreedy call.
+        candidates = list(candidates)
     min_cpe = float(min(instance.cpe(i) for i in range(h)))
     stop_gamma = min_cpe / (h + 6)
 

@@ -98,20 +98,22 @@ def threshold_greedy(
         raise SolverError(f"budgets must have length {h}")
     if np.any(budget_array <= 0):
         raise SolverError("budgets must be positive")
+    if candidates is not None:
+        # Read three times below (feasibility, the b = 1 rescue, Fill), so a
+        # one-shot iterator is materialised once.
+        candidates = list(candidates)
 
     state = _GreedyState(instance, budget_array)
     depleted: Set[int] = set()
     engine = engine_for(instance, oracle)
     n = instance.num_nodes
-    heap = BatchedLazyGreedy(engine.gains, batch_size=engine.batch_size)
-    heap.push_array(engine.feasible_element_keys(budget_array, candidates))
+    heap = BatchedLazyGreedy(engine.key_gain)
+    keys = engine.feasible_element_keys(budget_array, candidates)
+    heap.push_array(keys, engine.gains(keys))
 
     # Main loop (Lines 3-8): pop by max marginal gain, apply the three filters.
     while len(heap) and len(depleted) < h:
-        popped = heap.pop_best()
-        if popped is None:
-            break
-        key, _stale_gain = popped
+        key, _stale_gain = heap.pop_best()
         advertiser, node = divmod(key, n)
         # Filter 1: threshold on the marginal rate w.r.t. S_i ∪ D_i, and skip
         # advertisers whose budget is already depleted (D_i non-empty).
@@ -230,14 +232,12 @@ def fill(
         for node in seeds:
             engine.add_seed(advertiser, int(node))
 
-    heap = BatchedLazyGreedy(engine.rates, batch_size=engine.batch_size)
-    heap.push_array(engine.feasible_element_keys(budget_array, candidates))
+    heap = BatchedLazyGreedy(engine.key_rate)
+    keys = engine.feasible_element_keys(budget_array, candidates)
+    heap.push_array(keys, engine.rates(keys))
 
     while len(heap):
-        popped = heap.pop_best()
-        if popped is None:
-            break
-        key, _rate = popped
+        key, _rate = heap.pop_best()
         advertiser, node = divmod(key, n)
         if result.is_assigned(node):
             continue

@@ -1,8 +1,8 @@
 """Batched, CSR-vectorized forward-cascade engine.
 
 The reference Monte-Carlo estimator (preserved in
-:mod:`repro.diffusion.legacy`) runs one Python BFS per cascade and draws one
-block of uniforms per dequeued node.  This engine instead advances **all live
+``tests/reference/diffusion_legacy.py``) runs one Python BFS per cascade and
+draws one block of uniforms per dequeued node.  This engine instead advances **all live
 cascades of a batch one BFS level at a time** on flat numpy arrays, so the
 per-level Python overhead is constant no matter how many cascades are in
 flight.
@@ -251,9 +251,9 @@ def monte_carlo_spread(
     """Batched estimate of the expected spread ``σ(seeds)``.
 
     Statistically equivalent to the sequential reference
-    (:func:`repro.diffusion.legacy.legacy_monte_carlo_spread`) but runs the
-    cascades in level-synchronous batches of ``batch_size`` (default: sized
-    by :func:`default_batch_size`).
+    (``legacy_monte_carlo_spread`` in ``tests/reference/diffusion_legacy.py``)
+    but runs the cascades in level-synchronous batches of ``batch_size``
+    (default: sized by :func:`default_batch_size`).
 
     ``n_jobs>1`` shards the simulation count across worker processes
     (:mod:`repro.parallel.mc`): each worker runs this engine on its own

@@ -3,19 +3,19 @@
 ``monte_carlo_spread`` is the reference estimator used by the Monte-Carlo
 revenue oracle and by tests that validate the RR-set estimators.  Its default
 path draws randomness in exactly the same order as the seed implementation
-(preserved verbatim in :mod:`repro.diffusion.legacy`), so fixed-seed results
-are reproducible across releases; a policy with ``mc_engine="batched"``
-routes the estimate through the level-synchronous batched engine in
-:mod:`repro.diffusion.engine`, which is ~an order of magnitude faster and
-statistically equivalent (``tests/test_mc_engine_equivalence.py`` pins both
-claims).
+(preserved verbatim in ``tests/reference/diffusion_legacy.py``), so
+fixed-seed results are reproducible across releases; a policy with
+``mc_engine="batched"`` routes the estimate through the level-synchronous
+batched engine in :mod:`repro.diffusion.engine`, which is ~an order of
+magnitude faster and statistically equivalent
+(``tests/test_mc_engine_equivalence.py`` pins both claims).
 
 ``exact_spread`` enumerates live-edge worlds and anchors correctness tests of
 everything else.  The enumeration is restricted to the edges reachable from
 the seed set — edges no cascade from ``seeds`` can ever traverse contribute a
 marginal factor of 1 and are skipped — so graphs with many edges but small
 forward closures stay feasible (the seed semantics over *all* edges are kept
-in :func:`repro.diffusion.legacy.legacy_exact_spread`).
+in ``legacy_exact_spread`` of ``tests/reference/diffusion_legacy.py``).
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def simulate_cascade(
     out-neighbour, succeeding independently with the edge's probability.
 
     This is the seed-compatible path: the draw order (one uniform block per
-    dequeued node, FIFO frontier) matches :mod:`repro.diffusion.legacy`
-    bit-for-bit under a fixed seed.
+    dequeued node, FIFO frontier) matches the reference in
+    ``tests/reference/diffusion_legacy.py`` bit-for-bit under a fixed seed.
     """
     generator = as_rng(rng)
     probabilities = np.asarray(edge_probabilities, dtype=np.float64)
@@ -195,7 +195,7 @@ def exact_spread(
     ``seeds`` can ever activate is never traversed, so marginalising over its
     state multiplies every term by ``p + (1-p) = 1``.  ``max_edges`` bounds
     ``r`` (the seed implementation bounded the total edge count; it is kept
-    in :func:`repro.diffusion.legacy.legacy_exact_spread` and the two
+    in ``tests/reference/diffusion_legacy.py`` and the two
     enumerations are pinned equal in tests).
     """
     probabilities = np.asarray(edge_probabilities, dtype=np.float64)

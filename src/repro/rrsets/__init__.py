@@ -25,9 +25,10 @@ CSR arrays:
    sorted int64 arrays merged with ``np.union1d``.
 
 The engine consumes randomness in exactly the same order as the seed
-implementation (preserved in :mod:`~repro.rrsets.legacy`), so a fixed seed
-yields bit-identical RR-sets — ``tests/test_rr_engine_equivalence.py`` pins
-this and ``benchmarks/bench_rr_engine.py`` tracks the speedup.
+implementation (preserved in ``tests/reference/rrsets_legacy.py``), so a
+fixed seed yields bit-identical RR-sets —
+``tests/test_rr_engine_equivalence.py`` pins this and
+``benchmarks/bench_rr_engine.py`` tracks the speedup.
 """
 
 from repro.rrsets.generator import RRProvenance, RRSetGenerator, SubsimRRGenerator

@@ -29,9 +29,10 @@ The traversal keeps every per-element data structure in flat numpy arrays:
   reused across RR-sets, which is what ``generate_batch`` amortises.
 
 The engine draws randomness in exactly the same order as the reference
-implementation preserved in :mod:`repro.rrsets.legacy` (one root draw, then
-one block of ``degree`` uniforms per popped node, LIFO pop order), so a fixed
-seed produces **bit-identical** RR-sets — the equivalence tests pin this.
+implementation preserved in ``tests/reference/rrsets_legacy.py`` (one root
+draw, then one block of ``degree`` uniforms per popped node, LIFO pop
+order), so a fixed seed produces **bit-identical** RR-sets — the
+equivalence tests pin this.
 ``docs/architecture.md`` documents the convention (engine vs. legacy, the
 RNG seed-stream-compatibility policy) and how this module's in-CSR gather
 order feeds the tagged collections and the ``(h, n)`` coverage marginal

@@ -7,192 +7,87 @@ stored in a max-heap is still an upper bound; re-evaluating only the current
 top element ("lazy evaluation", Leskovec et al. 2007 / CELF) gives exactly the
 same selections as the eager arg-max while avoiding most re-evaluations.
 
-:class:`BatchedLazyGreedy` is the one heap every greedy loop runs on.  Stale
-entries are popped in surfacing order up to ``batch_size`` at a time and
-refreshed with **one** call to a vectorized ``batch_evaluate`` (for the
-RR-set consumers, a single numpy gather against the ``(h, n)`` marginal
-matrix of :class:`~repro.rrsets.collection.CoverageState`) instead of K
-Python callback round-trips.  Bulk insertion (``push_array``) likewise
-evaluates the whole candidate set in one call and heapifies once.
-
-The heap *replays the textbook scalar heap's schedule exactly*: speculative
-batch evaluations are cached, but each refresh is committed one entry at a
-time in surfacing order with the same counter sequence the scalar heap would
-assign, so ties between equal values resolve identically and the pop
-sequence is the scalar one — provided ``batch_evaluate`` is pure (values
-only change together with ``advance_round``, which every greedy consumer
-guarantees by advancing immediately after each accepted seed) and elements
-are inserted in the same order.  At ``batch_size=1`` nothing is speculated:
-every evaluation is one the scalar heap performs, in the same order.
-``tests/test_greedy_engine_equivalence.py`` pins this against the scalar
-reference heap kept in ``tests/reference/lazy_heap.py``.
+:class:`BatchedLazyGreedy` is the one heap every greedy loop runs on.  The
+initial candidate set is inserted in bulk (``push_array``, values from one
+vectorized engine call, one heapify); after that, each stale entry that
+surfaces is refreshed with one scalar ``evaluate(key)`` call, exactly like
+the textbook scalar CELF heap, so refreshes, tie-breaking counters and pop
+sequence are the scalar heap's.  ``tests/test_greedy_engine_equivalence.py``
+pins this against the scalar reference heap kept in
+``tests/reference/lazy_heap.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 
 class BatchedLazyGreedy:
-    """Vectorized CELF heap over int64-encoded elements.
+    """CELF heap over int64-encoded elements with bulk insertion.
 
     Parameters
     ----------
-    batch_evaluate:
-        Callable mapping an int64 array of element keys to a float64 array of
-        their *current* marginal values, evaluated in one vectorized pass.
-        For the coverage consumers this is a fancy-index gather against the
-        flat ``(h·n,)`` marginal matrix, so refreshing a batch of K stale
-        candidates costs one numpy call instead of K Python round-trips.
-    batch_size:
-        Maximum number of stale entries refreshed per evaluation call.  Use
-        1 when evaluations are not pure gathers (an oracle whose queries draw
-        from a shared RNG): the heap then evaluates exactly the entries the
-        scalar schedule refreshes, in the same order, and nothing else.
+    evaluate:
+        Callable mapping one element key to its *current* marginal value.
+        It is called once per stale entry that surfaces, in surfacing order
+        (an RNG-backed oracle therefore sees the scalar CELF query order).
 
     ``advance_round`` marks every entry stale, ``pop_best`` returns the
     element with the largest current value, popped keys leave the heap, and
-    exact value ties resolve by insertion / refresh order.  Batching is
-    achieved by separating *speculation* from *commitment*: when a stale
-    entry surfaces, the next ``batch_size`` stale candidates in surfacing
-    order are evaluated in one vectorized call and cached, but each refresh
-    is committed one entry at a time exactly when (and only when) the scalar
-    heap would perform it, drawing the same counter sequence.  Speculative
-    values the scalar schedule never demands are simply discarded.
-
-    The purity contract: values returned by ``batch_evaluate`` may only
-    change together with an ``advance_round`` call (every greedy consumer
-    advances immediately after each accepted seed, so this holds).  The
-    speculation cache is invalidated by ``advance_round``.
+    exact value ties resolve by insertion / refresh order.
     """
 
-    def __init__(
-        self,
-        batch_evaluate: Callable[[np.ndarray], np.ndarray],
-        batch_size: int = 64,
-    ):
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self._batch_evaluate = batch_evaluate
-        self._batch_size = int(batch_size)
+    def __init__(self, evaluate: Callable[[int], float]):
+        self._evaluate = evaluate
         # Entries are plain tuples (-value, counter, key, round_evaluated):
         # tuple comparison gives the (-value, counter) max-heap order without
-        # dataclass overhead on the hot path.
+        # dataclass overhead on the hot path.  Counters are unique, so the
+        # order is total; a refresh replaces its entry, so each key has one.
         self._heap: List[Tuple[float, int, int, int]] = []
-        self._members: Dict[int, float] = {}
-        # Speculative evaluations for the current round: key -> value.
-        self._pending: Dict[int, float] = {}
         self._round = 0
         self._next_counter = 0
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._heap)
 
-    def _evaluate(self, keys: np.ndarray) -> np.ndarray:
-        values = np.asarray(self._batch_evaluate(keys), dtype=np.float64)
-        if values.shape != keys.shape:
-            raise ValueError(
-                f"batch_evaluate returned shape {values.shape} for {keys.shape} keys"
-            )
-        return values
+    def push_array(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Bulk-insert ``keys`` with their current ``values``.
 
-    def push_array(
-        self, keys: np.ndarray, values: Optional[np.ndarray] = None
-    ) -> None:
-        """Bulk-insert ``keys``; values come from one ``batch_evaluate`` call.
-
-        When the heap is empty this heapifies once instead of pushing one
-        entry at a time.  Ties between equal values resolve by insertion
-        order, exactly like one scalar push per key.
+        Heapifies once instead of pushing one entry at a time.  Ties between
+        equal values resolve by insertion order, exactly like one scalar push
+        per key.
         """
-        key_array = np.ascontiguousarray(keys, dtype=np.int64)
-        if key_array.size == 0:
-            return
-        if values is None:
-            values = self._evaluate(key_array)
-        else:
-            values = np.asarray(values, dtype=np.float64)
-        key_list = key_array.tolist()
-        value_list = values.tolist()
+        key_list = np.asarray(keys, dtype=np.int64).tolist()
+        value_list = np.asarray(values, dtype=np.float64).tolist()
+        if len(value_list) != len(key_list):
+            raise ValueError(f"{len(value_list)} values for {len(key_list)} keys")
         base = self._next_counter
         self._next_counter = base + len(key_list)
-        entries = [
+        self._heap.extend(
             (-value, base + offset, key, self._round)
             for offset, (key, value) in enumerate(zip(key_list, value_list))
-        ]
-        if self._heap:
-            for entry in entries:
-                heapq.heappush(self._heap, entry)
-        else:
-            self._heap = entries
-            heapq.heapify(self._heap)
-        self._members.update(zip(key_list, value_list))
+        )
+        heapq.heapify(self._heap)
 
     def advance_round(self) -> None:
         """Signal that the underlying solution changed (stales every entry)."""
         self._round += 1
-        self._pending.clear()
-
-    def _speculate(self, key: int) -> float:
-        """Batch-evaluate ``key`` plus lookahead candidates; return its value.
-
-        Called on a pending-cache miss.  Alongside ``key``, the next stale
-        entries in surfacing order (up to ``batch_size``, stopping at the
-        first fresh entry) are evaluated in the same vectorized call and
-        cached for this round.  The lookahead entries are popped to discover
-        them and pushed back *unchanged* — a cached value only becomes a
-        committed refresh when the entry itself surfaces in
-        :meth:`pop_best`, which is what keeps the schedule (and the
-        tie-breaking counters) identical to the scalar heap's.
-        """
-        heap = self._heap
-        heappop, heappush = heapq.heappop, heapq.heappush
-        members, pending = self._members, self._pending
-        current_round = self._round
-        batch = [key]
-        lookahead: List[Tuple[float, int, int, int]] = []
-        while heap and len(batch) < self._batch_size:
-            entry = heappop(heap)
-            other = entry[2]
-            if other not in members:
-                continue  # superseded duplicate entry
-            lookahead.append(entry)
-            if entry[3] == current_round:
-                break  # fresh bound: deeper speculation is rarely consumed
-            if other not in pending:
-                batch.append(other)
-        for entry in lookahead:
-            heappush(heap, entry)
-        keys = np.fromiter(batch, dtype=np.int64, count=len(batch))
-        values = self._evaluate(keys)
-        pending.update(zip(batch, values.tolist()))
-        return pending[key]
 
     def pop_best(self) -> Optional[Tuple[int, float]]:
-        """Pop the key with the largest current marginal value (or ``None``).
-
-        Pop/skip/refresh decisions are the scalar lazy heap's, step for step;
-        only the *evaluations* are batched (see :meth:`_speculate`).
-        """
+        """Pop the key with the largest current marginal value (or ``None``)."""
         heap = self._heap
-        heappop, heappush = heapq.heappop, heapq.heappush
-        members, pending = self._members, self._pending
+        evaluate, current_round = self._evaluate, self._round
         while heap:
-            entry = heappop(heap)
+            entry = heap[0]
             key = entry[2]
-            if key not in members:
-                continue  # superseded duplicate entry
-            if entry[3] == self._round:
-                del members[key]
+            if entry[3] == current_round:
+                heapq.heappop(heap)
                 return key, -entry[0]
-            # Stale: commit a refresh exactly like the scalar heap would.
-            value = pending.get(key)
-            if value is None:
-                value = self._speculate(key)
-            heappush(heap, (-value, self._next_counter, key, self._round))
+            # Stale: refresh in place (pop + push of the new entry).
+            refreshed = (-evaluate(key), self._next_counter, key, current_round)
+            heapq.heapreplace(heap, refreshed)
             self._next_counter += 1
-            members[key] = value
         return None

@@ -15,8 +15,9 @@ default path in :mod:`repro.diffusion.simulation` must match bit-for-bit:
 * ``benchmarks/bench_mc_engine.py`` times this module as the "before" side of
   the perf-regression harness.
 
-Nothing in the library imports this module on a hot path; do not "optimize"
-it — its only value is being a faithful copy of the seed semantics.
+It lives with the tests because nothing in the library imports it; do not
+"optimize" it — its only value is being a faithful copy of the seed
+semantics.
 """
 
 from __future__ import annotations

@@ -2,11 +2,14 @@
 
 :class:`LazyMarginalHeap` is the textbook lazy-greedy max-heap over hashable
 keys: every insert and every stale refresh is one Python callback.  The
-library's greedy loops run on the vectorized
-:class:`~repro.utils.lazy_heap.BatchedLazyGreedy`, which replays this heap's
-refresh schedule and tie-breaking exactly;
+library's greedy loops run on
+:class:`~repro.utils.lazy_heap.BatchedLazyGreedy`, which differs only in
+taking the initial values in bulk (one vectorized engine call, one heapify);
+its stale refreshes are this heap's, one ``evaluate(key)`` per surfacing
+stale entry with the same tie-breaking counters.
 ``tests/test_greedy_engine_equivalence.py`` compares the two pop for pop and
-``tests/test_utils_lazy_heap.py`` pins this heap's own semantics.
+evaluation for evaluation; ``tests/test_utils_lazy_heap.py`` pins this
+heap's own semantics.
 """
 
 from __future__ import annotations

@@ -8,14 +8,18 @@ import pytest
 from repro.advertising.advertiser import Advertiser
 from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
-from repro.advertising.oracle import ExactOracle
+from repro.advertising.oracle import ExactOracle, RRSetOracle
 from repro.core.oracle_solver import approximation_ratio, rm_with_oracle
 from repro.core.result import SearchByproducts
 from repro.core.search import gamma_max, search_threshold
 from repro.core.seek_ub import seek_upper_bound
+from repro.core.threshold_greedy import threshold_greedy
+from repro.datasets.registry import build_dataset
 from repro.diffusion.models import IndependentCascadeModel
 from repro.exceptions import SolverError
 from repro.graph.builders import from_edge_list
+from repro.rrsets.uniform import UniformRRSampler
+from repro.runtime import ExecutionPolicy
 
 
 def brute_force_optimum(instance, oracle):
@@ -281,3 +285,61 @@ class TestSeekUpperBound:
         )
         optimum = brute_force_optimum(probabilistic_instance, oracle)
         assert bound >= optimum - 1e-9
+
+
+class TestOneShotCandidates:
+    """A one-shot ``candidates=`` iterator gives the same allocation as a list.
+
+    ThresholdGreedy reads its candidate pool three times (feasibility, the
+    b = 1 rescue, Fill) and Search hands it to ``gamma_max`` and to every
+    ThresholdGreedy call, so an iterator must be materialised once.
+    """
+
+    @pytest.fixture(scope="class")
+    def instance_and_oracle(self):
+        instance = build_dataset(
+            "lastfm_like", num_advertisers=3, scale=0.15, seed=1, singleton_rr_sets=200
+        ).instance
+        sampler = UniformRRSampler(
+            instance.graph,
+            instance.all_edge_probabilities(),
+            instance.cpes(),
+            seed=7,
+            policy=ExecutionPolicy.seed(),
+        )
+        return instance, RRSetOracle(sampler.generate_collection(800), instance.gamma)
+
+    @staticmethod
+    def _seeds(allocation, h):
+        return [sorted(allocation.seeds(i)) for i in range(h)]
+
+    def test_rm_with_oracle(self, instance_and_oracle):
+        instance, oracle = instance_and_oracle
+        n, h = instance.num_nodes, instance.num_advertisers
+        listed = rm_with_oracle(instance, oracle, candidates=list(range(n)))
+        streamed = rm_with_oracle(instance, oracle, candidates=iter(range(n)))
+        assert listed.revenue > 0.0
+        assert streamed.revenue == listed.revenue
+        assert self._seeds(streamed.allocation, h) == self._seeds(listed.allocation, h)
+
+    def test_search_threshold(self, instance_and_oracle):
+        instance, oracle = instance_and_oracle
+        n, h = instance.num_nodes, instance.num_advertisers
+        listed, listed_revenue, _, _ = search_threshold(
+            instance, oracle, tau=0.1, b_min=1, candidates=list(range(n))
+        )
+        streamed, streamed_revenue, _, _ = search_threshold(
+            instance, oracle, tau=0.1, b_min=1, candidates=iter(range(n))
+        )
+        assert streamed_revenue == listed_revenue
+        assert self._seeds(streamed, h) == self._seeds(listed, h)
+
+    def test_threshold_greedy(self, instance_and_oracle):
+        instance, oracle = instance_and_oracle
+        n, h = instance.num_nodes, instance.num_advertisers
+        listed, listed_b = threshold_greedy(instance, oracle, 0.4, candidates=list(range(n)))
+        streamed, streamed_b = threshold_greedy(
+            instance, oracle, 0.4, candidates=(node for node in range(n))
+        )
+        assert streamed_b == listed_b
+        assert self._seeds(streamed, h) == self._seeds(listed, h)

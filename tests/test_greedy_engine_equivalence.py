@@ -7,8 +7,8 @@ for an RR-set oracle, per-element oracle callbacks for every other oracle.
 These tests pin
 
 * the heap against the scalar reference heap
-  (``tests/reference/lazy_heap.py``): identical pop sequences under
-  scripted value decay, at batch sizes 1, 4 and 64;
+  (``tests/reference/lazy_heap.py``): identical pop sequences and
+  identical sequences of evaluated keys under scripted value decay;
 * the two engines against each other on the same RR-set collection, through
   every consumer — Algorithm 1, ThresholdGreedy + Fill, ``gamma_max``,
   RM_with_Oracle, CA/CS-Greedy.  ``CallbackView``
@@ -36,6 +36,7 @@ from repro.baselines.cs_greedy import cs_greedy
 from repro.core.batched_greedy import (
     CoverageGreedyEngine,
     OracleGreedyEngine,
+    PerAdvertiserCoverageEngine,
     engine_for,
 )
 from repro.core.greedy import greedy_single_advertiser, marginal_rate
@@ -107,52 +108,44 @@ class _DecayingValues:
 
 
 @pytest.mark.parametrize("seed", [0, 3, 9])
-@pytest.mark.parametrize("batch_size", [1, 4, 64])
-def test_batched_heap_pop_sequence_matches_scalar(seed, batch_size):
-    """Same pushes + same value decay ⇒ identical pop sequence, tie for tie."""
+def test_batched_heap_pop_sequence_matches_scalar(seed):
+    """Same pushes + same value decay ⇒ identical pops and evaluations, tie for tie."""
     keys = list(range(60))
     table = _DecayingValues(keys, seed)
-    scalar = LazyMarginalHeap(table.scalar)
-    batched = BatchedLazyGreedy(table.batch, batch_size=batch_size)
+    scalar_evaluated, batched_evaluated = [], []
+
+    def scalar_evaluate(key):
+        scalar_evaluated.append(key)
+        return table.scalar(key)
+
+    def batched_evaluate(key):
+        batched_evaluated.append(key)
+        return table.scalar(key)
+
+    scalar = LazyMarginalHeap(scalar_evaluate)
+    batched = BatchedLazyGreedy(batched_evaluate)
     scalar.push_many(keys)
-    batched.push_array(np.asarray(keys, dtype=np.int64))
+    batched.push_array(np.asarray(keys, dtype=np.int64), table.batch(keys))
+    # Insertion evaluates every key once in key order on the scalar side;
+    # on the batched side the values came in bulk.  Compare refreshes only.
+    assert scalar_evaluated == keys
+    scalar_evaluated.clear()
 
     popped = []
     while len(scalar):
         a = scalar.pop_best()
         b = batched.pop_best()
         assert a == b
+        assert batched_evaluated == scalar_evaluated
         popped.append(a)
         # A "selection" happened: values decay and both heaps are staled.
         table.decay()
         scalar.advance_round()
         batched.advance_round()
     assert batched.pop_best() is None
+    assert len(batched) == 0
     assert len(popped) == len(keys)
-
-
-def test_batched_heap_batches_evaluations():
-    """Stale refreshes are amortised: far fewer calls than elements."""
-    values = {k: 100.0 - k for k in range(256)}
-    traffic = {"calls": 0, "elements": 0}
-
-    def evaluate(keys):
-        traffic["calls"] += 1
-        traffic["elements"] += len(keys)
-        return np.array([values[int(k)] for k in keys])
-
-    heap = BatchedLazyGreedy(evaluate, batch_size=64)
-    heap.push_array(np.arange(256, dtype=np.int64))
-    for _ in range(32):
-        heap.advance_round()  # stale everything, forcing refresh traffic
-        heap.pop_best()
-    assert traffic["calls"] < traffic["elements"]
-    assert traffic["elements"] >= 256  # the initial bulk insert alone
-
-
-def test_batched_heap_rejects_bad_batch_size():
-    with pytest.raises(ValueError):
-        BatchedLazyGreedy(lambda keys: keys, batch_size=0)
+    assert len(batched_evaluated) > 0
 
 
 # --------------------------------------------------------------------- #
@@ -254,6 +247,30 @@ def test_coverage_engine_matches_oracle_marginals(graph):
         )
 
 
+def test_scalar_refresh_matches_batch_gather(graph):
+    """``key_gain``/``key_rate`` are the floats ``gains``/``rates`` gather.
+
+    Bulk insertion uses the batch evaluators and heap refreshes the scalar
+    ones, so the two must agree bit for bit on every engine.
+    """
+    instance, oracle = _instance_and_oracle(graph)
+    h = instance.num_advertisers
+    scales = np.array([oracle.scale * (1.0 + 0.3 * i) for i in range(h)])
+    engines = [
+        engine_for(instance, oracle),
+        engine_for(instance, CallbackView(oracle)),
+        PerAdvertiserCoverageEngine(instance, oracle.collection, scales),
+    ]
+    rng = np.random.default_rng(4)
+    keys = rng.permutation(h * graph.num_nodes)[:120].astype(np.int64)
+    for step, node in enumerate(rng.permutation(graph.num_nodes)[:12].tolist()):
+        for engine in engines:
+            gains, rates = engine.gains(keys), engine.rates(keys)
+            assert [engine.key_gain(key) for key in keys.tolist()] == gains.tolist()
+            assert [engine.key_rate(key) for key in keys.tolist()] == rates.tolist()
+            engine.add_seed(step % h, node)
+
+
 # --------------------------------------------------------------------- #
 # Monte-Carlo oracle: the callback engine replays the scalar query schedule
 # --------------------------------------------------------------------- #
@@ -294,7 +311,7 @@ def _reference_cs_greedy(instance, oracle):
 
 
 def test_monte_carlo_oracle_gets_callback_engine():
-    """Batch-1 callback engine ⇒ the scalar loop's allocation and query count."""
+    """Callback engine ⇒ the scalar loop's allocation and query count."""
     tiny = preferential_attachment_digraph(30, out_degree=2, seed=2)
     model = WeightedCascadeModel(tiny)
     advertisers = [Advertiser(budget=25.0, cpe=1.0) for _ in range(2)]
@@ -308,7 +325,7 @@ def test_monte_carlo_oracle_gets_callback_engine():
             for _ in range(2)
         ]
         engine = engine_for(instance, oracles[0])
-        assert isinstance(engine, OracleGreedyEngine) and engine.batch_size == 1
+        assert isinstance(engine, OracleGreedyEngine)
         expected = _reference_cs_greedy(instance, oracles[0])
         result = cs_greedy(instance, oracles[1])
         assert _allocations_equal(expected, result.allocation, 2)

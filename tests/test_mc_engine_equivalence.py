@@ -4,7 +4,7 @@ Three layers of evidence, mirroring the RR-engine equivalence suite:
 
 1. **Bit-identity** — the default path in :mod:`repro.diffusion.simulation`
    must reproduce the seed implementation preserved in
-   :mod:`repro.diffusion.legacy` exactly (same RNG draw order, same floats).
+   ``tests/reference/diffusion_legacy.py`` exactly (same RNG draw order, same floats).
 2. **Statistical equivalence** — the batched engine draws in a different
    order, so it is pinned with fixed-seed statistical tests instead: a
    two-sample Kolmogorov–Smirnov test on the per-cascade activation-size
@@ -32,7 +32,7 @@ from repro.diffusion.engine import (
     simulate_cascades_batch,
     singleton_spreads_monte_carlo as batched_singleton_spreads,
 )
-from repro.diffusion.legacy import (
+from reference.diffusion_legacy import (
     legacy_exact_spread,
     legacy_monte_carlo_spread,
     legacy_simulate_cascade,

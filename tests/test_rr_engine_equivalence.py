@@ -2,7 +2,7 @@
 
 The vectorized engine (:mod:`repro.rrsets.generator`, `.collection`) claims
 bit-identical behaviour with the seed implementation preserved in
-:mod:`repro.rrsets.legacy` when driven from the same RNG seed.  These tests
+``tests/reference/rrsets_legacy.py`` when driven from the same RNG seed.  These tests
 pin that claim across propagation models (IC / WC / Trivalency), both
 generators, the tagged collection, the coverage state and the RR-set oracle.
 """
@@ -19,7 +19,7 @@ from repro.diffusion.models import (
 from repro.graph.generators import preferential_attachment_digraph
 from repro.rrsets.collection import CoverageState, RRCollection
 from repro.rrsets.generator import RRSetGenerator, SubsimRRGenerator
-from repro.rrsets.legacy import (
+from reference.rrsets_legacy import (
     LegacyCoverageState,
     LegacyRRCollection,
     LegacyRRSetGenerator,
