@@ -24,6 +24,8 @@ consumer by ``tests/data/mc_oracle_golden.json``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference.lazy_heap import LazyMarginalHeap
 from reference.oracle_view import CallbackView
@@ -146,6 +148,91 @@ def test_batched_heap_pop_sequence_matches_scalar(seed):
     assert len(batched) == 0
     assert len(popped) == len(keys)
     assert len(batched_evaluated) > 0
+
+
+def test_batched_heap_refreshes_one_key_per_stale_surfacing():
+    """A stale round costs one ``evaluate(key)`` per entry that surfaces, no lookahead."""
+    values = {0: 10.0, 1: 8.0, 2: 6.0, 3: 4.0}
+    evaluated = []
+
+    def evaluate(key):
+        evaluated.append(key)
+        return values[key]
+
+    heap = BatchedLazyGreedy(evaluate)
+    heap.push_array(np.array(list(values), dtype=np.int64), np.array(list(values.values())))
+    assert evaluated == []  # bulk values: insertion evaluates nothing
+
+    heap.advance_round()  # values unchanged: only the top is refreshed
+    assert heap.pop_best() == (0, 10.0)
+    assert evaluated == [0]
+
+    evaluated.clear()
+    values[1] = 5.0  # key 1 decays below key 2
+    heap.advance_round()
+    assert heap.pop_best() == (2, 6.0)
+    assert evaluated == [1, 2]
+    assert len(heap) == 2
+
+
+def test_batched_heap_ties_resolve_by_insertion_and_refresh_order():
+    """Equal values pop in insertion order, across ``push_array`` calls; a
+    refreshed entry queues behind the untouched entries of equal value."""
+    heap = BatchedLazyGreedy(lambda key: 1.0)
+    heap.push_array(np.array([7, 3], dtype=np.int64), np.array([1.0, 1.0]))
+    heap.push_array(np.array([5, 1], dtype=np.int64), np.array([1.0, 1.0]))
+    assert [heap.pop_best()[0] for _ in range(2)] == [7, 3]
+
+    heap.push_array(np.array([9], dtype=np.int64), np.array([1.0]))
+    heap.advance_round()
+    # Every entry is stale; each refresh gets a fresh counter, so the
+    # refreshed top sinks behind the equal-valued entries still to refresh.
+    assert [heap.pop_best()[0] for _ in range(3)] == [5, 1, 9]
+    assert heap.pop_best() is None
+
+
+def test_batched_heap_push_array_rejects_length_mismatch():
+    heap = BatchedLazyGreedy(lambda key: 0.0)
+    with pytest.raises(ValueError):
+        heap.push_array(np.arange(3, dtype=np.int64), np.zeros(2))
+    assert len(heap) == 0
+
+
+def test_batched_heap_empty():
+    heap = BatchedLazyGreedy(lambda key: 0.0)
+    assert heap.pop_best() is None
+    heap.push_array(np.empty(0, dtype=np.int64), np.empty(0))
+    heap.advance_round()
+    assert len(heap) == 0
+    assert heap.pop_best() is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    initial=st.dictionaries(
+        st.integers(min_value=0, max_value=40),
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+        min_size=1,
+        max_size=16,
+    ),
+    factors=st.lists(st.floats(min_value=0.1, max_value=1.0), min_size=1, max_size=16),
+)
+def test_batched_heap_selection_matches_eager_argmax(initial, factors):
+    """Per-key decay between rounds: every lazy pop is the current eager arg-max."""
+    values = dict(initial)
+    heap = BatchedLazyGreedy(lambda key: values[key])
+    keys = sorted(values)
+    heap.push_array(np.array(keys, dtype=np.int64), np.array([values[k] for k in keys]))
+    remaining = set(keys)
+    for step in range(len(keys)):
+        key, value = heap.pop_best()
+        assert key in remaining
+        assert value == values[key] == max(values[k] for k in remaining)
+        remaining.discard(key)
+        for offset, other in enumerate(sorted(remaining)):
+            values[other] *= factors[(step + offset) % len(factors)]
+        heap.advance_round()
+    assert heap.pop_best() is None
 
 
 # --------------------------------------------------------------------- #
