@@ -4,14 +4,15 @@ Times the greedy-allocation consumers — CS-Greedy, CA-Greedy and
 ThresholdGreedy + Fill — on a Weighted-Cascade synthetic graph with an
 RR-set oracle, once per element engine (see :mod:`repro.core.batched_greedy`):
 
-* ``coverage`` — the RR-set oracle itself, so the consumers insert their
-  candidates with one vectorized gather through the ``(h, n)`` coverage
-  marginal matrix and refresh each stale CELF candidate with one scalar
-  lookup into it;
+* ``coverage`` — the RR-set oracle itself, so the consumers run the dense
+  CELF kernel (:class:`repro.utils.lazy_heap.DenseLazyGreedy`): one
+  vectorized gather through the ``(h, n)`` coverage marginal matrix per
+  round, and the elements a loop would skip pruned in bulk;
 * ``callback`` — the same oracle behind ``CallbackView``
   (``tests/reference/oracle_view.py``), a plain ``RevenueOracle`` wrapper,
-  so the consumers fall back to one ``oracle.marginal_revenue`` call per
-  element (the engine Monte-Carlo and exact oracles get).
+  so the consumers fall back to the CELF heap and one
+  ``oracle.marginal_revenue`` call per refreshed element (the engine
+  Monte-Carlo and exact oracles get).
 
 Run directly::
 
@@ -20,9 +21,10 @@ Run directly::
 
 The full run writes ``BENCH_greedy_engine.json`` next to the repo root
 (override with ``--output``) and fails if the aggregate ``greedy_coverage``
-speedup (callback time / coverage time) drops below 3x; ``--fast`` applies a
-smaller CI gate.  Both engines see the same floats and the heap runs the
-same schedule, so every section also asserts the two engines returned
+speedup (callback time / coverage time) drops below 3x or the
+``threshold_fill`` speedup below 20x; ``--fast`` applies smaller CI gates
+(1.5x and 10x).  Both engines see the same floats and both selectors pop
+in CELF order, so every section also asserts the two engines returned
 *identical allocations* (``tests/test_greedy_engine_equivalence.py`` pins
 this per consumer).
 """
@@ -52,8 +54,20 @@ from repro.utils.resources import peak_rss_mib
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from reference.oracle_view import CallbackView  # noqa: E402
 
-FULL = {"num_nodes": 20_000, "out_degree": 5, "rr_sets": 3000, "min_speedup": 3.0}
-FAST = {"num_nodes": 2_000, "out_degree": 5, "rr_sets": 600, "min_speedup": 1.5}
+FULL = {
+    "num_nodes": 20_000,
+    "out_degree": 5,
+    "rr_sets": 3000,
+    "min_speedup": 3.0,
+    "min_section_speedup": {"threshold_fill": 20.0},
+}
+FAST = {
+    "num_nodes": 2_000,
+    "out_degree": 5,
+    "rr_sets": 600,
+    "min_speedup": 1.5,
+    "min_section_speedup": {"threshold_fill": 10.0},
+}
 NUM_ADVERTISERS = 5
 GRAPH_SEED = 3
 RR_SEED = 5
@@ -184,6 +198,12 @@ def main() -> None:
         raise SystemExit(
             f"perf regression: greedy_coverage speedup {speedup}x < {gate}x"
         )
+    for name, floor in config["min_section_speedup"].items():
+        section_speedup = payload["sections"][name]["speedup"]
+        if section_speedup < floor:
+            raise SystemExit(
+                f"perf regression: {name} speedup {section_speedup}x < {floor}x"
+            )
 
 
 if __name__ == "__main__":

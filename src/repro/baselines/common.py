@@ -8,7 +8,7 @@ module is a thin wrapper naming its ranking.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -18,14 +18,13 @@ from repro.advertising.oracle import RevenueOracle
 from repro.core.batched_greedy import engine_for
 from repro.core.result import SolverResult
 from repro.exceptions import SolverError
-from repro.utils.lazy_heap import BatchedLazyGreedy
 
 
 def greedy_result(
     instance: RMInstance,
     oracle: RevenueOracle,
     allocation: Allocation,
-    closed: Set[int],
+    closed: np.ndarray,
     algorithm: str,
 ) -> SolverResult:
     """Package a finished CA/CS-Greedy allocation as a :class:`SolverResult`."""
@@ -39,8 +38,8 @@ def greedy_result(
         },
         seeding_cost=instance.total_seeding_cost(allocation),
         algorithm=algorithm,
-        depleted_budgets=len(closed),
-        metadata={"closed_advertisers": len(closed)},
+        depleted_budgets=int(closed.sum()),
+        metadata={"closed_advertisers": int(closed.sum())},
     )
 
 
@@ -50,8 +49,8 @@ def budgeted_allocation(
     budgets: np.ndarray,
     candidates: Optional[Iterable[int]],
     rank_by_rate: bool,
-) -> Tuple[Allocation, Set[int]]:
-    """The CA/CS-Greedy allocation loop.
+) -> Tuple[Allocation, np.ndarray]:
+    """The CA/CS-Greedy allocation loop; returns the allocation and the closed mask.
 
     ``rank_by_rate`` selects the CS-Greedy ranking (marginal rate) over the
     CA-Greedy one (marginal gain); every other decision — singleton
@@ -62,23 +61,28 @@ def budgeted_allocation(
     h = instance.num_advertisers
     n = instance.num_nodes
     engine = engine_for(instance, oracle)
-    heap = BatchedLazyGreedy(engine.key_rate if rank_by_rate else engine.key_gain)
+    assigned = np.zeros(n, dtype=bool)
+    closed = np.zeros(h, dtype=bool)
+
+    def discarded(keys: np.ndarray, _values: np.ndarray) -> np.ndarray:
+        advertisers, nodes = np.divmod(keys, n)
+        return closed[advertisers] | assigned[nodes]
+
     keys = engine.feasible_element_keys(budgets, candidates)
-    heap.push_array(keys, engine.rates(keys) if rank_by_rate else engine.gains(keys))
+    heap = engine.selector(keys, by_rate=rank_by_rate, prune=discarded)
 
     allocation = Allocation(h)
     revenue = {i: 0.0 for i in range(h)}
     cost = {i: 0.0 for i in range(h)}
-    closed: Set[int] = set()
-    while len(heap) and len(closed) < h:
-        key, _value = heap.pop_best()
-        advertiser, node = divmod(key, n)
-        if advertiser in closed or allocation.is_assigned(node):
+    while not closed.all() and (best := heap.pop_best()) is not None:
+        advertiser, node = divmod(best[0], n)
+        if closed[advertiser] or assigned[node]:
             continue
         gain = engine.gain(advertiser, node)
         node_cost = instance.cost(advertiser, node)
         if cost[advertiser] + node_cost + revenue[advertiser] + gain <= budgets[advertiser]:
             allocation.assign(node, advertiser)
+            assigned[node] = True
             engine.add_seed(advertiser, node)
             revenue[advertiser] += gain
             cost[advertiser] += node_cost
@@ -86,7 +90,7 @@ def budgeted_allocation(
         else:
             # The greedy stops selecting for this advertiser as soon as its
             # top-ranked element no longer fits the budget.
-            closed.add(advertiser)
+            closed[advertiser] = True
     return allocation, closed
 
 

@@ -35,7 +35,6 @@ from repro.exceptions import SolverError
 from repro.rrsets.collection import RRCollection
 from repro.rrsets.generator import RRSetGenerator, SubsimRRGenerator
 from repro.runtime import ExecutionPolicy, Runtime, current_runtime, resolve_policy
-from repro.utils.lazy_heap import BatchedLazyGreedy
 from repro.utils.rng import RandomSource, as_rng
 
 
@@ -157,7 +156,7 @@ def _run_allocation(
     penalties: Dict[int, float],
     budgets: np.ndarray,
     cost_sensitive: bool,
-) -> tuple[Allocation, set[int], Dict[int, float]]:
+) -> tuple[Allocation, np.ndarray, Dict[int, float]]:
     """The TI allocation loop, ranked by gain (CARM) or rate (CSRM).
 
     The per-advertiser pools are merged into one advertiser-tagged
@@ -165,38 +164,47 @@ def _run_allocation(
     element encoding, rate transform and singleton-feasibility filter of the
     other greedy loops, with one revenue scale per pool).  Only the accept
     test is TI's own: it adds the advertiser's RR-size penalty to the
-    projected revenue.
+    projected revenue.  Returns the allocation, the closed-advertiser mask
+    and the per-advertiser revenue estimates.
     """
     h = instance.num_advertisers
     n = instance.num_nodes
-    combined = RRCollection(n, h)
-    for advertiser in range(h):
-        for rr_set in pools[advertiser].rr_sets:
-            combined.add(rr_set, advertiser)
+    # One bulk build: every pool's sets are sorted and duplicate-free, as
+    # the generators return them.
+    rr_sets = [rr_set for advertiser in range(h) for rr_set in pools[advertiser].rr_sets]
+    sizes = np.array([rr_set.size for rr_set in rr_sets], dtype=np.int64)
+    tags = np.repeat(np.arange(h), [len(pools[advertiser].rr_sets) for advertiser in range(h)])
+    combined = RRCollection.from_shards(n, h, [(np.concatenate(rr_sets), sizes, tags)])
     scales = np.array([pools[i].scale for i in range(h)], dtype=np.float64)
     engine = PerAdvertiserCoverageEngine(instance, combined, scales)
-    heap = BatchedLazyGreedy(engine.key_rate if cost_sensitive else engine.key_gain)
+    assigned = np.zeros(n, dtype=bool)
+    closed = np.zeros(h, dtype=bool)
+
+    def discarded(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+        advertisers, nodes = np.divmod(keys, n)
+        return closed[advertisers] | assigned[nodes] | (values <= 0.0)
+
     keys = engine.feasible_element_keys(budgets)
-    heap.push_array(keys, engine.rates(keys) if cost_sensitive else engine.gains(keys))
+    heap = engine.selector(keys, by_rate=cost_sensitive, prune=discarded)
 
     allocation = Allocation(h)
     cost = {i: 0.0 for i in range(h)}
-    closed: set[int] = set()
-    while len(heap) and len(closed) < h:
-        key, value = heap.pop_best()
+    while not closed.all() and (best := heap.pop_best()) is not None:
+        key, value = best
         advertiser, node = divmod(key, n)
-        if advertiser in closed or allocation.is_assigned(node) or value <= 0.0:
+        if closed[advertiser] or assigned[node] or value <= 0.0:
             continue
         gain = engine.gain(advertiser, node)
         node_cost = instance.cost(advertiser, node)
         projected_revenue = engine.revenue_for(advertiser) + gain + penalties[advertiser]
         if cost[advertiser] + node_cost + projected_revenue <= budgets[advertiser]:
             allocation.assign(node, advertiser)
+            assigned[node] = True
             engine.add_seed(advertiser, node)
             cost[advertiser] += node_cost
             heap.advance_round()
         else:
-            closed.add(advertiser)
+            closed[advertiser] = True
 
     per_advertiser = {advertiser: engine.revenue_for(advertiser) for advertiser in range(h)}
     return allocation, closed, per_advertiser
@@ -253,7 +261,7 @@ def run_ti_baseline(
         per_advertiser_revenue=per_advertiser,
         seeding_cost=instance.total_seeding_cost(allocation),
         algorithm=algorithm_name,
-        depleted_budgets=len(closed),
+        depleted_budgets=int(closed.sum()),
         metadata={
             "epsilon": params.epsilon,
             "delta": params.delta,

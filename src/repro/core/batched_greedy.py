@@ -1,11 +1,12 @@
 """Element engines for the lazy-greedy loops — one loop, two evaluators.
 
 Every greedy consumer in the repo (Algorithms 1-3, ``gamma_max``,
-CA/CS-Greedy, the TI allocation) ranks ``(node, advertiser)`` elements by marginal gain or
-marginal rate.  Each consumer has exactly one selection loop, written over
-int64 element keys and driven by
-:class:`~repro.utils.lazy_heap.BatchedLazyGreedy`; what differs between
-oracles is only how elements are evaluated.  That is this module's job:
+CA/CS-Greedy, the TI allocation) ranks ``(node, advertiser)`` elements by
+marginal gain or marginal rate.  Each consumer has exactly one selection
+loop, written over int64 element keys and driven by the selector its engine
+hands out (:meth:`selector`); what differs between oracles is how elements
+are evaluated, and with it which selector can run.  That is this module's
+job:
 
 * **Element encoding** — an element ``(node, advertiser)`` is the int64 key
   ``advertiser · n + node``, i.e. the *flat index* into both the raveled
@@ -16,29 +17,36 @@ oracles is only how elements are evaluated.  That is this module's job:
   :class:`~repro.advertising.oracle.RRSetOracle` the marginals are pure
   maximum-coverage counts.  The engine owns a fresh
   :class:`~repro.rrsets.collection.CoverageState` over the oracle's
-  collection, so the initial candidate set is evaluated with **one** gather
+  collection, so any set of elements is evaluated with **one** gather
   ``scale · marginal[keys]`` (plus one vectorized rate transform for the
-  rate-ranked consumers) and each stale refresh is one scalar lookup.
-  Gains are ``scale × integer-count`` exactly like the oracle's own
-  answers, so accept/reject decisions see the same floats.
+  rate-ranked consumers).  Its selector is the dense CELF kernel
+  :class:`~repro.utils.lazy_heap.DenseLazyGreedy`: one such gather per
+  round, plus the consumer's ``prune`` mask.  Gains are
+  ``scale × integer-count`` exactly like the oracle's own answers, so
+  accept/reject decisions see the same floats.
   :class:`PerAdvertiserCoverageEngine` is the same engine with one scale
   per advertiser, for the TI baselines' separately sized RR pools.
 * :class:`OracleGreedyEngine` — every other oracle (Monte-Carlo, exact): one
   ``oracle.revenue`` / ``oracle.marginal_revenue`` call per element, in key
-  order.  A :class:`~repro.advertising.oracle.MonteCarloOracle` draws every
-  fresh query from one shared RNG; the heap evaluates exactly the elements
-  the textbook scalar CELF schedule refreshes, in the same order, so the
+  order.  Its selector is the CELF heap
+  :class:`~repro.utils.lazy_heap.BatchedLazyGreedy`.  A
+  :class:`~repro.advertising.oracle.MonteCarloOracle` draws every fresh
+  query from one shared RNG; the heap evaluates exactly the elements the
+  textbook scalar CELF schedule refreshes, in the same order, so the
   oracle sees the scalar query sequence.
 
-Both engines expose the same methods (batch :meth:`gains` / :meth:`rates`
-for bulk insertion, scalar :meth:`key_gain` / :meth:`key_rate` for heap
-refreshes, :meth:`gain`, :meth:`feasible_element_keys`, :meth:`add_seed`,
-...); :func:`engine_for` picks one from the oracle.
+Both selectors pop the same elements in the same order — the dense kernel
+emulates the heap's refresh counters, exact ties included — so on one RR-set
+collection the two engines return bit-identical allocations.  Both engines
+expose the same methods (batch :meth:`gains` / :meth:`rates`, scalar
+:meth:`key_gain` / :meth:`key_rate`, :meth:`gain`,
+:meth:`feasible_element_keys`, :meth:`selector`, :meth:`add_seed`, ...);
+:func:`engine_for` picks one from the oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Union
 
 import numpy as np
 
@@ -46,6 +54,10 @@ from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import RevenueOracle, RRSetOracle
 from repro.exceptions import ProblemDefinitionError
 from repro.rrsets.collection import CoverageState, RRCollection
+from repro.utils.lazy_heap import BatchedLazyGreedy, DenseLazyGreedy
+
+#: ``prune(keys, values) -> bool mask`` of elements a greedy loop discards for good.
+Prune = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class _ElementEngine:
@@ -84,7 +96,7 @@ class _ElementEngine:
         """Singleton revenues ``π_i({u})`` for a batch of element keys."""
         raise NotImplementedError
 
-    def _to_rates(self, gains: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    def to_rates(self, gains: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """``ζ = gain / (cost + gain)``, 0 for non-positive gains.
 
         Elementwise identical (IEEE-754) to the scalar
@@ -97,11 +109,11 @@ class _ElementEngine:
 
     def rates(self, keys: np.ndarray) -> np.ndarray:
         """Marginal rates ``ζ_i(u | S_i)`` for a batch of element keys."""
-        return self._to_rates(self.gains(keys), keys)
+        return self.to_rates(self.gains(keys), keys)
 
     def singleton_rates(self, keys: np.ndarray) -> np.ndarray:
         """Singleton rates ``ζ_i(u | ∅)`` for a batch of element keys."""
-        return self._to_rates(self.singleton_gains(keys), keys)
+        return self.to_rates(self.singleton_gains(keys), keys)
 
     def key_rate(self, key: int) -> float:
         """Marginal rate of one element key, the same float :meth:`rates` gives."""
@@ -163,6 +175,23 @@ class _ElementEngine:
         return np.concatenate(chunks)
 
     # ------------------------------------------------------------------ #
+    # selection
+    # ------------------------------------------------------------------ #
+    def selector(
+        self, keys: np.ndarray, by_rate: bool, prune: Optional[Prune] = None
+    ) -> Union[BatchedLazyGreedy, DenseLazyGreedy]:
+        """A lazy-greedy selector over ``keys``, ranked by rate or by gain.
+
+        The base engine answers one element at a time, so it gets the scalar
+        CELF heap: each stale entry that surfaces is one ``key_rate`` /
+        ``key_gain`` query, in CELF order.  ``prune`` is ignored here; the
+        caller's own checks discard those elements when they surface.
+        """
+        heap = BatchedLazyGreedy(self.key_rate if by_rate else self.key_gain)
+        heap.push_array(keys, self.rates(keys) if by_rate else self.gains(keys))
+        return heap
+
+    # ------------------------------------------------------------------ #
     # scalar access and state updates (from the subclass)
     # ------------------------------------------------------------------ #
     def gain(self, advertiser: int, node: int) -> float:
@@ -209,6 +238,19 @@ class CoverageGreedyEngine(_ElementEngine):
         # Singleton revenue is scale × membership count: the initial
         # marginal matrix, whatever seeds have been added since.
         return self._scale * self._singleton_flat[keys]
+
+    def selector(
+        self, keys: np.ndarray, by_rate: bool, prune: Optional[Prune] = None
+    ) -> Union[BatchedLazyGreedy, DenseLazyGreedy]:
+        """The dense CELF kernel: one whole-array gather per round, ``prune`` applied.
+
+        Gathers are pure lookups, so evaluating every stale element at once
+        is safe; the kernel still pops exactly what the CELF heap pops.
+        """
+        evaluate_all = self.rates if by_rate else self.gains
+        selector = DenseLazyGreedy(evaluate_all, prune)
+        selector.push_array(keys, evaluate_all(keys))
+        return selector
 
     def add_seed(self, advertiser: int, node: int) -> None:
         # Only RR-sets tagged ``advertiser`` are covered (tags partition the

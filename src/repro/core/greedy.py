@@ -21,7 +21,6 @@ from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import RevenueOracle
 from repro.core.batched_greedy import engine_for
 from repro.exceptions import SolverError
-from repro.utils.lazy_heap import BatchedLazyGreedy
 
 
 def marginal_rate(marginal_gain: float, cost: float) -> float:
@@ -93,15 +92,13 @@ def greedy_single_advertiser(
     current_revenue = 0.0
 
     offset = engine.encode(0, advertiser)
-    heap = BatchedLazyGreedy(engine.key_rate)
     keys = offset + np.fromiter(
         feasible_candidates, dtype=np.int64, count=len(feasible_candidates)
     )
-    heap.push_array(keys, engine.rates(keys))
+    heap = engine.selector(keys, by_rate=True)
 
-    while len(heap) and not stopple:
-        key, _rate = heap.pop_best()
-        node = key - offset
+    while not stopple and (best := heap.pop_best()) is not None:
+        node = best[0] - offset
         gain = engine.gain(advertiser, node)
         cost_with_node = instance.cost_of_set(advertiser, selected | {node})
         revenue_with_node = current_revenue + gain

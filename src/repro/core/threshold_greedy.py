@@ -25,15 +25,15 @@ from repro.advertising.oracle import RevenueOracle
 from repro.core.batched_greedy import engine_for
 from repro.core.greedy import greedy_single_advertiser, marginal_rate
 from repro.exceptions import SolverError
-from repro.utils.lazy_heap import BatchedLazyGreedy
 
 
 class _GreedyState:
     """Bookkeeping of ThresholdGreedy's main loop.
 
     Tracks, per advertiser, the selected set ``S_i``, its revenue and its
-    seeding cost, plus the global node-to-advertiser assignment so the
-    partition constraint can be checked in O(1).
+    seeding cost, plus two masks both the loop's checks and the selector's
+    prune read: which nodes are taken (selected or parked as a stopple node
+    by any advertiser) and which budgets are depleted (``D_i`` non-empty).
     """
 
     def __init__(self, instance: RMInstance, budgets: np.ndarray):
@@ -44,7 +44,8 @@ class _GreedyState:
         self.stopple: Dict[int, Set[int]] = {i: set() for i in range(h)}
         self.revenue: Dict[int, float] = {i: 0.0 for i in range(h)}
         self.cost: Dict[int, float] = {i: 0.0 for i in range(h)}
-        self.assigned: Set[int] = set()
+        self.assigned = np.zeros(instance.num_nodes, dtype=bool)
+        self.depleted = np.zeros(h, dtype=bool)
 
     def try_add(self, node: int, advertiser: int, gain: float) -> str:
         """Attempt to add ``(node, advertiser)`` whose marginal revenue is ``gain``.
@@ -54,14 +55,14 @@ class _GreedyState:
         node_cost = self.instance.cost(advertiser, node)
         new_cost = self.cost[advertiser] + node_cost
         new_revenue = self.revenue[advertiser] + gain
+        self.assigned[node] = True
         if new_cost + new_revenue <= self.budgets[advertiser]:
             self.selected[advertiser].add(node)
             self.revenue[advertiser] = new_revenue
             self.cost[advertiser] = new_cost
-            self.assigned.add(node)
             return "selected"
         self.stopple[advertiser].add(node)
-        self.assigned.add(node)
+        self.depleted[advertiser] = True
         return "stopple"
 
 
@@ -104,39 +105,47 @@ def threshold_greedy(
         candidates = list(candidates)
 
     state = _GreedyState(instance, budget_array)
-    depleted: Set[int] = set()
     engine = engine_for(instance, oracle)
     n = instance.num_nodes
-    heap = BatchedLazyGreedy(engine.key_gain)
+    thresholds = gamma / budget_array
+
+    def discarded(keys: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        # Filters 1 and 2 below, for every element at once; each is
+        # permanent (rates only fall, masks only fill).
+        advertisers, nodes = np.divmod(keys, n)
+        return (
+            state.depleted[advertisers]
+            | state.assigned[nodes]
+            | (engine.to_rates(gains, keys) < thresholds[advertisers])
+        )
+
     keys = engine.feasible_element_keys(budget_array, candidates)
-    heap.push_array(keys, engine.gains(keys))
+    heap = engine.selector(keys, by_rate=False, prune=discarded)
 
     # Main loop (Lines 3-8): pop by max marginal gain, apply the three filters.
-    while len(heap) and len(depleted) < h:
-        key, _stale_gain = heap.pop_best()
-        advertiser, node = divmod(key, n)
+    while not state.depleted.all() and (best := heap.pop_best()) is not None:
+        advertiser, node = divmod(best[0], n)
         # Filter 1: threshold on the marginal rate w.r.t. S_i ∪ D_i, and skip
         # advertisers whose budget is already depleted (D_i non-empty).
-        if state.stopple[advertiser]:
+        if state.depleted[advertiser]:
             continue
         gain = engine.gain(advertiser, node)
         rate = marginal_rate(gain, instance.cost(advertiser, node))
-        if rate < gamma / budget_array[advertiser]:
+        if rate < thresholds[advertiser]:
             continue
         # Filter 2: the node must not be assigned to any advertiser yet.
-        if node in state.assigned:
+        if state.assigned[node]:
             continue
         if state.try_add(node, advertiser, gain) == "selected":
             engine.add_seed(advertiser, node)
             heap.advance_round()
-        else:
-            depleted.add(advertiser)
 
     # Line 9-10: when exactly one budget is depleted, re-run Greedy for it on
     # the still-unassigned nodes; its result backs the b = 1 case of Thm 3.2.
     rescue: Dict[int, Set[int]] = {i: set() for i in range(h)}
-    if len(depleted) == 1:
-        advertiser = next(iter(depleted))
+    depleted = np.flatnonzero(state.depleted)
+    if depleted.size == 1:
+        advertiser = int(depleted[0])
         selected_anywhere = set().union(*state.selected.values())
         unassigned = [
             node
@@ -179,7 +188,7 @@ def threshold_greedy(
             budgets=budget_array,
             candidates=candidates,
         )
-    return allocation, len(depleted)
+    return allocation, int(depleted.size)
 
 
 def _deduplicate(chosen: Dict[int, Set[int]], oracle: RevenueOracle) -> None:
@@ -224,27 +233,37 @@ def fill(
     result = allocation.copy()
     engine = engine_for(instance, oracle)
     n = instance.num_nodes
-    revenue: Dict[int, float] = {}
-    cost: Dict[int, float] = {}
+    cost_flat = instance.cost_matrix().ravel()
+    assigned = np.zeros(n, dtype=bool)
+    revenue = np.zeros(h)
+    cost = np.zeros(h)
     for advertiser, seeds in result.items():
         revenue[advertiser] = oracle.revenue(advertiser, seeds) if seeds else 0.0
         cost[advertiser] = instance.cost_of_set(advertiser, seeds)
         for node in seeds:
+            assigned[node] = True
             engine.add_seed(advertiser, int(node))
 
-    heap = BatchedLazyGreedy(engine.key_rate)
-    keys = engine.feasible_element_keys(budget_array, candidates)
-    heap.push_array(keys, engine.rates(keys))
+    def discarded(keys: np.ndarray, _rates: np.ndarray) -> np.ndarray:
+        # The loop's skip tests for every element at once, in its own float
+        # expression; both are permanent (taken nodes stay taken, and
+        # cost + revenue only grows as seeds are added).
+        advertisers, nodes = np.divmod(keys, n)
+        spend = cost[advertisers] + cost_flat[keys] + revenue[advertisers] + engine.gains(keys)
+        return assigned[nodes] | ~(spend <= budget_array[advertisers])
 
-    while len(heap):
-        key, _rate = heap.pop_best()
-        advertiser, node = divmod(key, n)
-        if result.is_assigned(node):
+    keys = engine.feasible_element_keys(budget_array, candidates)
+    heap = engine.selector(keys, by_rate=True, prune=discarded)
+
+    while (best := heap.pop_best()) is not None:
+        advertiser, node = divmod(best[0], n)
+        if assigned[node]:
             continue
         gain = engine.gain(advertiser, node)
         node_cost = instance.cost(advertiser, node)
         if cost[advertiser] + node_cost + revenue[advertiser] + gain <= budget_array[advertiser]:
             result.assign(node, advertiser)
+            assigned[node] = True
             engine.add_seed(advertiser, node)
             revenue[advertiser] += gain
             cost[advertiser] += node_cost

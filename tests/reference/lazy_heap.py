@@ -2,14 +2,16 @@
 
 :class:`LazyMarginalHeap` is the textbook lazy-greedy max-heap over hashable
 keys: every insert and every stale refresh is one Python callback.  The
-library's greedy loops run on
+library's per-element oracles run on
 :class:`~repro.utils.lazy_heap.BatchedLazyGreedy`, which differs only in
 taking the initial values in bulk (one vectorized engine call, one heapify);
 its stale refreshes are this heap's, one ``evaluate(key)`` per surfacing
-stale entry with the same tie-breaking counters.
-``tests/test_greedy_engine_equivalence.py`` compares the two pop for pop and
-evaluation for evaluation; ``tests/test_utils_lazy_heap.py`` pins this
-heap's own semantics.
+stale entry with the same tie-breaking counters.  The coverage engines run
+:class:`~repro.utils.lazy_heap.DenseLazyGreedy`, which reproduces the same
+pops from whole-array evaluations.
+``tests/test_greedy_engine_equivalence.py`` compares the heaps pop for pop
+and evaluation for evaluation, and the dense kernel against the heap pop for
+pop; ``tests/test_utils_lazy_heap.py`` pins this heap's own semantics.
 """
 
 from __future__ import annotations

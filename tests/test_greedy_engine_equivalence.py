@@ -1,19 +1,24 @@
-"""Equivalence proofs for the lazy-greedy element engines.
+"""Equivalence proofs for the lazy-greedy element engines and selectors.
 
-Every greedy consumer has one selection loop on
-:class:`repro.utils.lazy_heap.BatchedLazyGreedy`; the element evaluator is
-picked from the oracle (:mod:`repro.core.batched_greedy`): coverage gathers
-for an RR-set oracle, per-element oracle callbacks for every other oracle.
-These tests pin
+Every greedy consumer has one selection loop over the selector its element
+engine hands out (:mod:`repro.core.batched_greedy`): coverage engines run
+the dense kernel :class:`repro.utils.lazy_heap.DenseLazyGreedy`, the
+per-element callback engine (every non-RR-set oracle) the CELF heap
+:class:`repro.utils.lazy_heap.BatchedLazyGreedy`.  These tests pin
 
 * the heap against the scalar reference heap
   (``tests/reference/lazy_heap.py``): identical pop sequences and
   identical sequences of evaluated keys under scripted value decay;
+* the dense kernel against the heap: identical ``(key, value)`` pops on
+  tie-heavy values, with and without pruning;
 * the two engines against each other on the same RR-set collection, through
   every consumer — Algorithm 1, ThresholdGreedy + Fill, ``gamma_max``,
-  RM_with_Oracle, CA/CS-Greedy.  ``CallbackView``
-  (``tests/reference/oracle_view.py``) hides the :class:`RRSetOracle` type,
-  which forces the callback engine onto the same revenue function;
+  RM_with_Oracle, CA/CS-Greedy — on random costs and on a tie-heavy
+  unit-cost instance.  ``CallbackView`` (``tests/reference/oracle_view.py``)
+  hides the :class:`RRSetOracle` type, which forces the callback engine onto
+  the same revenue function;
+* the TI allocation loop and ``budgeted_allocation`` with the coverage
+  engines' selector forced back to the heap;
 * the callback engine on a Monte-Carlo oracle against a scalar reference
   loop: same allocation *and* same number of oracle queries.
 
@@ -34,7 +39,11 @@ from repro.advertising.allocation import Allocation
 from repro.advertising.instance import RMInstance
 from repro.advertising.oracle import MonteCarloOracle, RRSetOracle
 from repro.baselines.ca_greedy import ca_greedy
+from repro.baselines.common import budgeted_allocation
 from repro.baselines.cs_greedy import cs_greedy
+from repro.baselines.ti_carm import ti_carm
+from repro.baselines.ti_common import TIParameters
+from repro.baselines.ti_csrm import ti_csrm
 from repro.core.batched_greedy import (
     CoverageGreedyEngine,
     OracleGreedyEngine,
@@ -54,7 +63,7 @@ from repro.graph.generators import preferential_attachment_digraph
 from repro.rrsets.collection import RRCollection
 from repro.rrsets.generator import RRSetGenerator
 from repro.runtime import ExecutionPolicy
-from repro.utils.lazy_heap import BatchedLazyGreedy
+from repro.utils.lazy_heap import BatchedLazyGreedy, DenseLazyGreedy
 
 MODELS = [IndependentCascadeModel, WeightedCascadeModel, TrivalencyModel]
 
@@ -64,13 +73,18 @@ def graph():
     return preferential_attachment_digraph(250, out_degree=4, seed=1)
 
 
-def _instance_and_oracle(graph, model_cls=WeightedCascadeModel, h=3, count=500, seed=5):
+def _instance_and_oracle(
+    graph, model_cls=WeightedCascadeModel, h=3, count=500, seed=5, unit_costs=False
+):
     model = model_cls(graph)
     n = graph.num_nodes
     advertisers = [
         Advertiser(budget=170.0 + 40.0 * i, cpe=1.0 + 0.5 * (i % 2)) for i in range(h)
     ]
-    costs = np.random.default_rng(seed).uniform(0.5, 3.0, size=(h, n))
+    if unit_costs:
+        costs = np.ones((h, n))
+    else:
+        costs = np.random.default_rng(seed).uniform(0.5, 3.0, size=(h, n))
     instance = RMInstance(graph, model, advertisers, costs)
     probabilities = np.asarray(model.edge_probabilities(), dtype=np.float64)
     rr_sets = RRSetGenerator(graph, probabilities).generate_batch(count, rng=seed)
@@ -79,6 +93,19 @@ def _instance_and_oracle(graph, model_cls=WeightedCascadeModel, h=3, count=500, 
     for rr_set, tag in zip(rr_sets, tags):
         collection.add(rr_set, int(tag))
     return instance, RRSetOracle(collection, instance.gamma)
+
+
+@pytest.fixture(params=["random_costs", "tie_heavy"])
+def make_case(request, graph):
+    """Builds a consumer test's instance and RR-set oracle.
+
+    ``tie_heavy``: unit costs and a small RR collection, so most elements
+    share their gain and rate with many others (zero-gain elements alike)
+    and the selection order rests on CELF's tie-breaking counters.
+    """
+    if request.param == "tie_heavy":
+        return lambda **kwargs: _instance_and_oracle(graph, count=80, unit_costs=True, **kwargs)
+    return lambda **kwargs: _instance_and_oracle(graph, **kwargs)
 
 
 def _allocations_equal(one: Allocation, other: Allocation, h: int) -> bool:
@@ -236,12 +263,99 @@ def test_batched_heap_selection_matches_eager_argmax(initial, factors):
 
 
 # --------------------------------------------------------------------- #
+# dense kernel vs heap
+# --------------------------------------------------------------------- #
+@settings(max_examples=200, deadline=None)
+@given(
+    initial=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=30),
+    steps=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.lists(st.integers(min_value=0, max_value=2), min_size=30, max_size=30),
+            st.sets(st.integers(min_value=0, max_value=29), max_size=3),
+        ),
+        max_size=30,
+    ),
+    use_prune=st.booleans(),
+    block=st.sampled_from([1, 4, DenseLazyGreedy.MIN_BLOCK]),
+    split=st.integers(min_value=0, max_value=30),
+)
+def test_dense_kernel_pops_match_heap(initial, steps, use_prune, block, split):
+    """Same values, decay and kills ⇒ the same ``(key, value)`` pops, tie for tie.
+
+    Small integer values make most pops exact ties.  After each pop a step
+    kills some elements for good (the caller discards them when they
+    surface; with ``use_prune`` the kernel also drops them up front) and
+    either leaves the round as is or advances it with per-key decay.
+    Small ``block`` sizes move elements from the kernel's reserve to its
+    active set a few at a time; ``split`` inserts in two ``push_array`` calls.
+    """
+    keys = 7 * np.arange(len(initial), dtype=np.int64) + 3
+    values = {int(key): float(value) for key, value in zip(keys, initial)}
+    killed = np.zeros(int(keys.max()) + 1, dtype=bool)
+    heap = BatchedLazyGreedy(lambda key: values[key])
+    dense = DenseLazyGreedy(
+        lambda batch: np.array([values[key] for key in batch.tolist()]),
+        (lambda batch, _values: killed[batch]) if use_prune else None,
+    )
+    dense.MIN_BLOCK = block
+    start = np.array(initial, dtype=np.float64)
+    for part in (slice(None, split), slice(split, None)):
+        heap.push_array(keys[part], start[part])
+        dense.push_array(keys[part], start[part])
+
+    def next_live(selector):
+        while (best := selector.pop_best()) is not None and killed[best[0]]:
+            pass
+        return best
+
+    steps = iter(steps)
+    while (best := next_live(heap)) is not None:
+        assert next_live(dense) == best
+        advance, decay, kills = next(steps, (False, [0] * 30, set()))
+        killed[keys[sorted(index for index in kills if index < keys.size)]] = True
+        if advance:
+            for index, key in enumerate(keys.tolist()):
+                values[key] = max(0.0, values[key] - decay[index])
+            heap.advance_round()
+            dense.advance_round()
+    assert next_live(dense) is None
+
+
+def test_dense_kernel_push_array_rejects_length_mismatch():
+    dense = DenseLazyGreedy(lambda keys: np.zeros(keys.size))
+    with pytest.raises(ValueError):
+        dense.push_array(np.arange(3, dtype=np.int64), np.zeros(2))
+    assert len(dense) == 0
+
+
+def test_dense_kernel_empty():
+    dense = DenseLazyGreedy(lambda keys: np.zeros(keys.size))
+    assert dense.pop_best() is None
+    dense.push_array(np.empty(0, dtype=np.int64), np.empty(0))
+    dense.advance_round()
+    assert len(dense) == 0
+    assert dense.pop_best() is None
+
+
+def test_dense_kernel_prune_can_empty_the_set():
+    """Once the prune drops every element, ``pop_best`` returns ``None``."""
+    dropped = np.zeros(4, dtype=bool)
+    dense = DenseLazyGreedy(lambda keys: np.ones(keys.size), lambda keys, _values: dropped[keys])
+    dense.push_array(np.arange(4, dtype=np.int64), np.ones(4))
+    assert dense.pop_best() == (0, 1.0)
+    dropped[:] = True
+    assert dense.pop_best() is None
+    assert len(dense) == 0
+
+
+# --------------------------------------------------------------------- #
 # consumer-level identity: coverage engine vs callback engine
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("model_cls", MODELS, ids=lambda m: m.__name__)
 @pytest.mark.parametrize("seed", [5, 11])
-def test_cs_and_ca_greedy_bit_identical(graph, model_cls, seed):
-    instance, oracle = _instance_and_oracle(graph, model_cls, seed=seed)
+def test_cs_and_ca_greedy_bit_identical(make_case, model_cls, seed):
+    instance, oracle = make_case(model_cls=model_cls, seed=seed)
     h = instance.num_advertisers
     for solver in (cs_greedy, ca_greedy):
         coverage = solver(instance, oracle)
@@ -252,16 +366,16 @@ def test_cs_and_ca_greedy_bit_identical(graph, model_cls, seed):
 
 
 @pytest.mark.parametrize("seed", [5, 11, 42])
-def test_greedy_single_advertiser_bit_identical(graph, seed):
-    instance, oracle = _instance_and_oracle(graph, seed=seed)
+def test_greedy_single_advertiser_bit_identical(make_case, seed):
+    instance, oracle = make_case(seed=seed)
     for advertiser in range(instance.num_advertisers):
         assert greedy_single_advertiser(
             instance, oracle, advertiser
         ) == greedy_single_advertiser(instance, CallbackView(oracle), advertiser)
 
 
-def test_greedy_single_advertiser_candidate_subset(graph):
-    instance, oracle = _instance_and_oracle(graph)
+def test_greedy_single_advertiser_candidate_subset(graph, make_case):
+    instance, oracle = make_case()
     candidates = list(range(0, graph.num_nodes, 3))
     assert greedy_single_advertiser(
         instance, oracle, 1, candidates=candidates
@@ -269,8 +383,8 @@ def test_greedy_single_advertiser_candidate_subset(graph):
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 10.0])
-def test_threshold_greedy_bit_identical(graph, gamma):
-    instance, oracle = _instance_and_oracle(graph)
+def test_threshold_greedy_bit_identical(make_case, gamma):
+    instance, oracle = make_case()
     h = instance.num_advertisers
     coverage, b_coverage = threshold_greedy(instance, oracle, gamma)
     callback, b_callback = threshold_greedy(instance, CallbackView(oracle), gamma)
@@ -278,8 +392,8 @@ def test_threshold_greedy_bit_identical(graph, gamma):
     assert _allocations_equal(coverage, callback, h)
 
 
-def test_fill_bit_identical_from_partial_allocation(graph):
-    instance, oracle = _instance_and_oracle(graph)
+def test_fill_bit_identical_from_partial_allocation(make_case):
+    instance, oracle = make_case()
     h = instance.num_advertisers
     start = Allocation(h)
     for advertiser, node in [(0, 3), (0, 17), (1, 25), (2, 4)]:
@@ -290,9 +404,9 @@ def test_fill_bit_identical_from_partial_allocation(graph):
 
 
 @pytest.mark.parametrize("h", [1, 3, 4])
-def test_rm_with_oracle_bit_identical(graph, h):
+def test_rm_with_oracle_bit_identical(make_case, h):
     """Covers all three dispatch arms of Algorithm 5 (h=1, h≤3, h≥4)."""
-    instance, oracle = _instance_and_oracle(graph, h=h)
+    instance, oracle = make_case(h=h)
     coverage = rm_with_oracle(instance, oracle)
     callback = rm_with_oracle(instance, CallbackView(oracle))
     assert _allocations_equal(coverage.allocation, callback.allocation, h)
@@ -300,14 +414,42 @@ def test_rm_with_oracle_bit_identical(graph, h):
     assert coverage.metadata == callback.metadata
 
 
-def test_gamma_max_bit_identical(graph):
-    instance, oracle = _instance_and_oracle(graph)
+def test_gamma_max_bit_identical(graph, make_case):
+    instance, oracle = make_case()
     view = CallbackView(oracle)
     assert gamma_max(instance, oracle) == gamma_max(instance, view)
     subset = list(range(0, graph.num_nodes, 7))
     assert gamma_max(instance, oracle, candidates=subset) == gamma_max(
         instance, view, candidates=subset
     )
+
+
+def _ti_and_budgeted_runs(graph, seed):
+    instance, oracle = _instance_and_oracle(graph, seed=seed)
+    params = dict(
+        pilot_size=64, max_rr_sets_per_advertiser=256, seed=seed, policy=ExecutionPolicy.seed()
+    )
+    runs = [
+        (allocation, closed.tolist())
+        for allocation, closed in (
+            budgeted_allocation(instance, oracle, instance.budgets(), None, rank_by_rate)
+            for rank_by_rate in (False, True)
+        )
+    ]
+    for solver in (ti_carm, ti_csrm):
+        result = solver(instance, TIParameters(**params))
+        runs.append((result.allocation, result.revenue, result.depleted_budgets))
+    return runs
+
+
+@pytest.mark.parametrize("seed", [5, 11, 42])
+def test_ti_and_budgeted_allocation_match_scalar_heap(graph, seed, monkeypatch):
+    """TI and ``budgeted_allocation`` have no callback-engine counterpart:
+    run them on the dense kernel, then with the coverage engines handed the
+    callback engine's heap, and compare allocations."""
+    dense = _ti_and_budgeted_runs(graph, seed)
+    monkeypatch.setattr(CoverageGreedyEngine, "selector", OracleGreedyEngine.selector)
+    assert _ti_and_budgeted_runs(graph, seed) == dense
 
 
 def test_coverage_engine_matches_oracle_marginals(graph):
